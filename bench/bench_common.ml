@@ -51,20 +51,21 @@ let annotate_environment kvs =
   | None -> ()
   | Some b -> Report.add_environment b kvs
 
+(* One single-algorithm solve; a failure raises, failing the
+   experiment.  Pass a fresh [Flow.prepare] where the run's time must
+   cover context construction (the Table V/VI time columns count it). *)
+let solve prepared algorithm =
+  match Flow.run prepared (Flow.Single algorithm) with
+  | Ok r -> r
+  | Error (e, _) -> raise (Repro_util.Verrors.Error e)
+
 (* The standard per-algorithm sample of a single-mode flow run: the
    golden quality metrics plus the optimizer's wall/CPU time.  Fallback
    links of a robust run land in the report's (non-gated) degradations
    block; plain runs have none. *)
 let record_run ?(algorithm_suffix = "") (r : Flow.run) =
   let algorithm = Flow.algorithm_name r.Flow.algorithm ^ algorithm_suffix in
-  record ~benchmark:r.Flow.benchmark ~algorithm
-    ~quality:
-      [ ("peak_current_ma", r.Flow.metrics.Golden.peak_current_ma);
-        ("vdd_noise_mv", r.Flow.metrics.Golden.vdd_noise_mv);
-        ("gnd_noise_mv", r.Flow.metrics.Golden.gnd_noise_mv);
-        ("skew_ps", r.Flow.metrics.Golden.skew_ps);
-        ("predicted_peak_ua", r.Flow.predicted_peak_ua);
-        ("num_leaf_inverters", float_of_int r.Flow.num_leaf_inverters) ]
+  record ~benchmark:r.Flow.benchmark ~algorithm ~quality:(Flow.quality r)
     ~runtime:[ ("wall_s", r.Flow.elapsed_s); ("cpu_s", r.Flow.cpu_s) ]
     ();
   match !current_report with

@@ -19,7 +19,7 @@ let run () =
   List.iter
     (fun zone_side ->
       let params = { Context.default_params with Context.zone_side } in
-      let r = Flow.run_tree ~params ~name tree Flow.Wavemin in
+      let r = Bench_common.solve (Flow.prepare ~params ~name tree) Flow.Wavemin in
       Table.add_row t
         [ Table.cell_f ~decimals:0 zone_side;
           Table.cell_f r.Flow.metrics.Golden.peak_current_ma;
@@ -32,13 +32,15 @@ let run () =
   List.iter
     (fun kappa ->
       let params = { Context.default_params with Context.kappa } in
-      match Flow.run_tree ~params ~name tree Flow.Wavemin with
-      | r ->
+      match
+        Flow.run (Flow.prepare ~params ~name tree) (Flow.Single Flow.Wavemin)
+      with
+      | Ok r ->
         Table.add_row t
           [ Table.cell_f ~decimals:0 kappa;
             Table.cell_f r.Flow.metrics.Golden.peak_current_ma;
             Table.cell_f r.Flow.metrics.Golden.skew_ps ]
-      | exception Failure _ ->
+      | Error _ ->
         Table.add_row t [ Table.cell_f ~decimals:0 kappa; "infeasible"; "-" ])
     [ 8.0; 12.0; 20.0; 40.0 ];
   print_string (Table.render t);
@@ -48,7 +50,7 @@ let run () =
   List.iter
     (fun epsilon ->
       let params = { Context.default_params with Context.epsilon } in
-      let r = Flow.run_tree ~params ~name tree Flow.Wavemin in
+      let r = Bench_common.solve (Flow.prepare ~params ~name tree) Flow.Wavemin in
       Table.add_row t
         [ Table.cell_f ~decimals:3 epsilon;
           Table.cell_f r.Flow.metrics.Golden.peak_current_ma;

@@ -42,16 +42,8 @@ let compute params spec =
   let per_algo =
     List.map
       (fun algo ->
-        let run = Flow.run_tree ~params ~name tree algo in
-        ignore run;
-        let ctx = Context.create ~params tree ~cells:(Flow.leaf_library ()) in
-        let assignment =
-          match algo with
-          | Flow.Peakmin -> (Repro_core.Clk_peakmin.optimize ctx).Context.assignment
-          | Flow.Wavemin -> (Repro_core.Clk_wavemin.optimize ctx).Context.assignment
-          | Flow.Wavemin_fast | Flow.Initial | Flow.Sa -> assert false
-        in
-        (algo, Montecarlo.run ~config tree assignment))
+        let run = Bench_common.solve (Flow.prepare ~params ~name tree) algo in
+        (algo, Montecarlo.run ~config tree run.Flow.assignment))
       algos
   in
   (tree, per_algo)

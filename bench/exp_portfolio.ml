@@ -65,11 +65,10 @@ let run () =
       let prep = Flow.prepare ~params ~name tree in
       let (outcome, sa_run), wall, cpu =
         Bench_common.time2 (fun () ->
-            let outcome = Flow.run_prepared_portfolio prep in
+            let outcome = Flow.run prep Flow.Portfolio in
             (* A standalone SA run over the same prepared context, for
                the annealer's move counters regardless of who won. *)
-            let sa_run = Flow.run_prepared prep Flow.Sa in
-            (outcome, sa_run))
+            (outcome, Bench_common.solve prep Flow.Sa))
       in
       Bench_common.record_stage name ~wall_s:wall ~cpu_s:cpu;
       (match outcome with
@@ -96,7 +95,7 @@ let run () =
       | None -> ());
       (* Warm-started ECO re-solve from the cold SA solution: same
          objective regime, a fraction of the moves. *)
-      match Flow.resolve_warm prep ~previous:sa_run.Flow.assignment with
+      match Flow.run prep (Flow.Warm sa_run.Flow.assignment) with
       | Error (e, _) ->
         Bench_common.note "warm re-solve failed on %s: %s" name
           (Verrors.to_string e)

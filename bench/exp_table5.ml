@@ -25,8 +25,8 @@ let run () =
       let pm, wm =
         Bench_common.report_stage name (fun () ->
             let tree = Repro_cts.Benchmarks.synthesize spec in
-            let pm = Flow.run_tree ~name tree Flow.Peakmin in
-            let wm = Flow.run_tree ~name tree Flow.Wavemin in
+            let pm = Bench_common.solve (Flow.prepare ~name tree) Flow.Peakmin in
+            let wm = Bench_common.solve (Flow.prepare ~name tree) Flow.Wavemin in
             (pm, wm))
       in
       Bench_common.record_run pm;

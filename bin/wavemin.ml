@@ -236,6 +236,16 @@ let print_run (r : Flow.run) =
   if r.Flow.approximate then
     Format.printf "  (label cap tripped: result approximate beyond epsilon)@."
 
+(* Synthesize [spec], then run [strategy] on it; a synthesis failure is
+   an [Error] with no degradations. *)
+let solve_benchmark ?budget ~params spec strategy =
+  Obs_trace.with_span ~name:"flow.run_benchmark"
+    ~attrs:[ ("benchmark", spec.Benchmarks.name) ]
+  @@ fun () ->
+  match Flow.prepare_benchmark ~params spec with
+  | Error e -> Error (e, [])
+  | Ok p -> Result.map (fun r -> (p, r)) (Flow.run ?budget p strategy)
+
 let print_portfolio (entries : Flow.portfolio_entry list) =
   List.iter
     (fun (e : Flow.portfolio_entry) ->
@@ -300,21 +310,19 @@ let run_cmd =
     | Ok algo -> (
       match Benchmarks.find name with
       | spec -> (
-        let params = params_of kappa slots in
-        let budget = budget_of budget_ms in
-        let outcome =
-          if portfolio then Flow.run_benchmark_portfolio ~params ?budget spec
-          else Flow.run_benchmark_robust ~params ?budget spec algo
-        in
-        match outcome with
-        | Ok r ->
+        match
+          solve_benchmark ~params:(params_of kappa slots)
+            ?budget:(budget_of budget_ms) spec
+            (if portfolio then Flow.Portfolio else Flow.Chain algo)
+        with
+        | Ok (p, r) ->
           print_run r;
           print_portfolio r.Flow.portfolio;
           print_degradations r.Flow.degradations;
           (match export with
           | None -> ()
           | Some path ->
-            export_assignment path r (Benchmarks.synthesize spec);
+            export_assignment path r (Flow.prepared_tree p);
             Format.printf "  assignment written to %s@." path);
           finish ();
           exit_of ~strict ~approximate:r.Flow.approximate r.Flow.degradations
@@ -341,16 +349,7 @@ let profile_json (r : Flow.run) =
   Json.Obj
     [ ("benchmark", Json.Str r.Flow.benchmark);
       ("algorithm", Json.Str (Flow.algorithm_name r.Flow.algorithm));
-      ( "quality",
-        Json.Obj
-          (num
-             [ ("peak_current_ma", r.Flow.metrics.Golden.peak_current_ma);
-               ("vdd_noise_mv", r.Flow.metrics.Golden.vdd_noise_mv);
-               ("gnd_noise_mv", r.Flow.metrics.Golden.gnd_noise_mv);
-               ("skew_ps", r.Flow.metrics.Golden.skew_ps);
-               ("predicted_peak_ua", r.Flow.predicted_peak_ua);
-               ( "num_leaf_inverters",
-                 float_of_int r.Flow.num_leaf_inverters ) ]) );
+      ("quality", Json.Obj (num (Flow.quality r)));
       ( "runtime",
         Json.Obj (num [ ("wall_s", r.Flow.elapsed_s); ("cpu_s", r.Flow.cpu_s) ]) );
       ("approximate", Json.Bool r.Flow.approximate);
@@ -378,16 +377,23 @@ let profile_cmd =
     apply_jobs jobs;
     let finish = setup_obs ~force_trace:true level trace (not json) in
     match Benchmarks.find name with
-    | spec ->
-      let r = Flow.run_benchmark ~params:(params_of kappa slots) spec algo in
-      if json then print_endline (Json.to_string_pretty (profile_json r))
-      else begin
-        print_run r;
-        Format.printf "@.span tree:@.";
-        print_string (Obs_trace.to_text_tree ())
-      end;
-      finish ();
-      0
+    | spec -> (
+      match
+        solve_benchmark ~params:(params_of kappa slots) spec (Flow.Single algo)
+      with
+      | Error (e, _) ->
+        finish ();
+        print_verror e;
+        2
+      | Ok (_, r) ->
+        if json then print_endline (Json.to_string_pretty (profile_json r))
+        else begin
+          print_run r;
+          Format.printf "@.span tree:@.";
+          print_string (Obs_trace.to_text_tree ())
+        end;
+        finish ();
+        0)
     | exception Not_found ->
       Format.eprintf "unknown benchmark %s@." name;
       1
@@ -425,10 +431,10 @@ let compare_cmd =
       List.iter
         (fun algo ->
           match
-            Flow.run_benchmark_robust ~params ?budget:(budget_of budget_ms)
-              spec algo
+            solve_benchmark ~params ?budget:(budget_of budget_ms) spec
+              (Flow.Chain algo)
           with
-          | Ok r ->
+          | Ok (_, r) ->
             degradations := !degradations @ r.Flow.degradations;
             bump (exit_of ~strict ~approximate:r.Flow.approximate
                     r.Flow.degradations);
@@ -470,54 +476,46 @@ let montecarlo_cmd =
     apply_jobs jobs;
     match Benchmarks.find name with
     | spec -> (
-      let params = params_of kappa slots in
       match
-        Verrors.guard ~stage:"flow.synthesize" (fun () ->
-            Benchmarks.synthesize spec)
+        solve_benchmark ~params:(params_of kappa slots)
+          ?budget:(budget_of budget_ms) spec (Flow.Chain Flow.Wavemin)
       with
-      | Error e ->
+      | Error (e, degs) ->
+        print_degradations degs;
         print_verror e;
         2
-      | Ok tree -> (
+      | Ok (p, r) -> (
+        print_degradations r.Flow.degradations;
+        let config =
+          { Repro_core.Montecarlo.default_config with
+            Repro_core.Montecarlo.instances;
+            kappa = Float.max kappa 100.0 }
+        in
         match
-          Flow.run_tree_robust ~params ?budget:(budget_of budget_ms) ~name
-            tree Flow.Wavemin
+          Verrors.guard ~stage:"montecarlo" (fun () ->
+              Repro_core.Montecarlo.run ~config (Flow.prepared_tree p)
+                r.Flow.assignment)
         with
-        | Error (e, degs) ->
-          print_degradations degs;
+        | Error e ->
           print_verror e;
           2
-        | Ok r -> (
-          print_degradations r.Flow.degradations;
-          let config =
-            { Repro_core.Montecarlo.default_config with
-              Repro_core.Montecarlo.instances;
-              kappa = Float.max kappa 100.0 }
-          in
-          match
-            Verrors.guard ~stage:"montecarlo" (fun () ->
-                Repro_core.Montecarlo.run ~config tree r.Flow.assignment)
-          with
-          | Error e ->
-            print_verror e;
-            2
-          | Ok rep ->
-            Format.printf "Monte-Carlo (%d instances, sigma/mu = %.0f%%):@."
-              instances
-              (100.0 *. config.Repro_core.Montecarlo.sigma_ratio);
-            Format.printf "  skew yield     %6.1f%% (kappa = %.0f ps)@."
-              (100.0 *. rep.Repro_core.Montecarlo.skew_yield)
-              config.Repro_core.Montecarlo.kappa;
-            Format.printf "  mean skew      %6.2f ps@."
-              rep.Repro_core.Montecarlo.mean_skew;
-            Format.printf "  sigma/mu peak  %6.3f@."
-              rep.Repro_core.Montecarlo.norm_std_peak;
-            Format.printf "  sigma/mu VDD   %6.3f@."
-              rep.Repro_core.Montecarlo.norm_std_vdd;
-            Format.printf "  sigma/mu GND   %6.3f@."
-              rep.Repro_core.Montecarlo.norm_std_gnd;
-            exit_of ~strict ~approximate:r.Flow.approximate
-              r.Flow.degradations)))
+        | Ok rep ->
+          Format.printf "Monte-Carlo (%d instances, sigma/mu = %.0f%%):@."
+            instances
+            (100.0 *. config.Repro_core.Montecarlo.sigma_ratio);
+          Format.printf "  skew yield     %6.1f%% (kappa = %.0f ps)@."
+            (100.0 *. rep.Repro_core.Montecarlo.skew_yield)
+            config.Repro_core.Montecarlo.kappa;
+          Format.printf "  mean skew      %6.2f ps@."
+            rep.Repro_core.Montecarlo.mean_skew;
+          Format.printf "  sigma/mu peak  %6.3f@."
+            rep.Repro_core.Montecarlo.norm_std_peak;
+          Format.printf "  sigma/mu VDD   %6.3f@."
+            rep.Repro_core.Montecarlo.norm_std_vdd;
+          Format.printf "  sigma/mu GND   %6.3f@."
+            rep.Repro_core.Montecarlo.norm_std_gnd;
+          exit_of ~strict ~approximate:r.Flow.approximate
+            r.Flow.degradations))
     | exception Not_found ->
       Format.eprintf "unknown benchmark %s@." name;
       1
@@ -1588,8 +1586,8 @@ let explain_cmd =
       | wall_ms, max_labels -> Some (Budget.create ?wall_ms ?max_labels ())
     in
     let outcome =
-      Flow.run_benchmark_robust ~params:(params_of kappa slots) ?budget spec
-        algo
+      solve_benchmark ~params:(params_of kappa slots) ?budget spec
+        (Flow.Chain algo)
     in
     let dump = Obs_flight.to_json () in
     (match output with
@@ -1604,7 +1602,7 @@ let explain_cmd =
     | Error (e, _) ->
       print_verror e;
       2
-    | Ok r ->
+    | Ok (_, r) ->
       if render_code <> 0 then render_code
       else if r.Flow.degradations <> [] then 3
       else 0

@@ -226,7 +226,8 @@ let solve_with t ~zone_solver =
             ("dof", string_of_int cls.degree_of_freedom) ]
       @@ fun () ->
       (* Zones are independent once the class's availability is fixed;
-         results are index-addressed, so the fan-out is deterministic. *)
+         results are index-addressed and label-budget charges replay in
+         zone order, so the fan-out is deterministic. *)
       let per_zone =
         Par.parallel_init ~label:"context.zone_solve"
           (Array.length t.tables)

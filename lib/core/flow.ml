@@ -68,21 +68,30 @@ type run = {
 let leaf_library () =
   [ Library.buf 8; Library.buf 16; Library.inv 8; Library.inv 16 ]
 
+let quality r =
+  [ ("peak_current_ma", r.metrics.Golden.peak_current_ma);
+    ("vdd_noise_mv", r.metrics.Golden.vdd_noise_mv);
+    ("gnd_noise_mv", r.metrics.Golden.gnd_noise_mv);
+    ("skew_ps", r.metrics.Golden.skew_ps);
+    ("predicted_peak_ua", r.predicted_peak_ua);
+    ("num_leaf_inverters", float_of_int r.num_leaf_inverters) ]
+
 module Clock = Repro_obs.Clock
 module Trace = Repro_obs.Trace
 
-(* A benchmark prepared for (repeated) optimization: the synthesized
-   tree plus a context built at most once and reused by every later
-   solver run — the warm-cache path of the server's session cache.  The
-   context is rebuilt on the next use if its construction raised (an
-   injected fault or infeasible input must not be memoized). *)
+(* A tree prepared for (repeated) optimization: the context is built at
+   most once, under [prep_lock], and shared by every later solver run —
+   the warm-cache path of the server's session cache.  A construction
+   that raises (an injected fault, an infeasible input) memoizes
+   nothing, so the next run retries. *)
 type prepared = {
   prep_name : string;
   prep_tree : Tree.t;
   prep_params : Context.params;
   prep_env : Timing.env;
   prep_cells : Cell.t list;
-  mutable prep_ctx : Context.t option;
+  prep_lock : Mutex.t;
+  mutable prep_ctx : Context.t option;  (* guarded by [prep_lock] *)
 }
 
 let prepare ?(params = Context.default_params) ?cells ~name tree =
@@ -92,32 +101,35 @@ let prepare ?(params = Context.default_params) ?cells ~name tree =
     prep_params = params;
     prep_env = Timing.nominal ();
     prep_cells = (match cells with Some cs -> cs | None -> leaf_library ());
+    prep_lock = Mutex.create ();
     prep_ctx = None;
   }
 
-let prepared_name p = p.prep_name
+let prepare_benchmark ?params spec =
+  Verrors.guard ~stage:"flow.synthesize" (fun () ->
+      prepare ?params ~name:spec.Repro_cts.Benchmarks.name
+        (Repro_cts.Benchmarks.synthesize spec))
+
 let prepared_tree p = p.prep_tree
-let prepared_params p = p.prep_params
 let prepared_cells p = p.prep_cells
-let context_warm p = p.prep_ctx <> None
 
 let prepared_context p =
-  match p.prep_ctx with
-  | Some ctx -> ctx
-  | None ->
-    let ctx =
-      Context.create ~params:p.prep_params ~env:p.prep_env p.prep_tree
-        ~cells:p.prep_cells
-    in
-    p.prep_ctx <- Some ctx;
-    ctx
+  Mutex.protect p.prep_lock (fun () ->
+      match p.prep_ctx with
+      | Some ctx -> ctx
+      | None ->
+        let ctx =
+          Context.create ~params:p.prep_params ~env:p.prep_env p.prep_tree
+            ~cells:p.prep_cells
+        in
+        p.prep_ctx <- Some ctx;
+        ctx)
 
-(* The shared solve-and-evaluate skeleton: [solve] produces the
-   assignment (plus the optimizer's own estimate and the annealer's
-   counters when applicable); everything around it — flight bracketing,
-   timing, golden evaluation — is identical for the standard dispatch,
-   the portfolio members and the warm-start path. *)
-let run_prepared_with p ~algorithm ~solve =
+(* The solve-and-evaluate skeleton: [solve] produces the assignment
+   (plus the optimizer's own estimate and the annealer's counters when
+   applicable); everything around it — flight bracketing, timing,
+   golden evaluation — is shared by every strategy. *)
+let evaluate p ~algorithm ~solve =
   Trace.with_span ~name:"flow.run_tree"
     ~attrs:
       [ ("benchmark", p.prep_name); ("algorithm", algorithm_name algorithm) ]
@@ -161,44 +173,32 @@ let run_prepared_with p ~algorithm ~solve =
     portfolio = [];
   }
 
-let run_prepared p algorithm =
-  run_prepared_with p ~algorithm ~solve:(fun () ->
+let of_outcome (o : Context.outcome) sa =
+  (o.Context.assignment, o.Context.predicted_peak_ua, o.Context.approximate, sa)
+
+(* One cold solve of [algorithm]; the context is built on first use. *)
+let solve p algorithm =
+  evaluate p ~algorithm ~solve:(fun () ->
       match algorithm with
-      | Initial ->
-        (Assignment.default p.prep_tree ~num_modes:1, 0.0, false, None)
-      | Peakmin | Wavemin | Wavemin_fast ->
-        let ctx = prepared_context p in
-        let outcome =
-          match algorithm with
-          | Peakmin -> Clk_peakmin.optimize ctx
-          | Wavemin -> Clk_wavemin.optimize ctx
-          | Wavemin_fast -> Clk_wavemin_f.optimize ctx
-          | Initial | Sa -> assert false
-        in
-        ( outcome.Context.assignment,
-          outcome.Context.predicted_peak_ua,
-          outcome.Context.approximate,
-          None )
+      | Initial -> (Assignment.default p.prep_tree ~num_modes:1, 0.0, false, None)
+      | Peakmin -> of_outcome (Clk_peakmin.optimize (prepared_context p)) None
+      | Wavemin -> of_outcome (Clk_wavemin.optimize (prepared_context p)) None
+      | Wavemin_fast ->
+        of_outcome (Clk_wavemin_f.optimize (prepared_context p)) None
       | Sa ->
-        let ctx = prepared_context p in
-        let outcome, stats = Clk_sa.optimize_stats ctx in
-        ( outcome.Context.assignment,
-          outcome.Context.predicted_peak_ua,
-          outcome.Context.approximate,
-          Some stats ))
+        let outcome, stats = Clk_sa.optimize_stats (prepared_context p) in
+        of_outcome outcome (Some stats))
 
-let run_tree ?params ~name tree algorithm =
-  run_prepared (prepare ?params ~name tree) algorithm
-
-let run_benchmark ?params spec algorithm =
-  Trace.with_span ~name:"flow.run_benchmark"
-    ~attrs:[ ("benchmark", spec.Repro_cts.Benchmarks.name) ]
-  @@ fun () ->
-  let tree = Repro_cts.Benchmarks.synthesize spec in
-  run_tree ?params ~name:spec.Repro_cts.Benchmarks.name tree algorithm
+(* Every strategy's unit of work: [f] under the optional budget, with
+   any raised exception captured as a structured error. *)
+let attempt ?budget ~stage f =
+  Verrors.guard ~stage (fun () ->
+      match budget with
+      | Some b -> Budget.with_current b f
+      | None -> f ())
 
 (* ------------------------------------------------------------------ *)
-(* Graceful degradation                                                 *)
+(* Fallback chains                                                     *)
 
 let degradations_c = Obs_metrics.counter "flow.degradations"
 
@@ -211,49 +211,41 @@ let fallback_chain = function
 
 module Log = (val Logs.src_log (Repro_obs.Log.src "wavemin.flow"))
 
-(* The shared fallback loop: [runner alg] is one attempt (a fresh
-   [run_tree] for the plain robust runners, a warm [run_prepared] for
-   the server's session-cached path). *)
-let robust ?budget ~name ~runner algorithm =
-  let rec attempt budget degs = function
-    | [] -> assert false (* fallback_chain is never empty *)
+(* Try [algorithms] in order until one succeeds; every failure is
+   recorded as a degradation pointing at the next member. *)
+let chain ?budget p algorithms =
+  let rec go budget degs = function
+    | [] -> assert false (* every strategy passes a non-empty chain *)
     | alg :: rest -> (
       let t0 = Clock.now_s () in
-      let res =
-        Verrors.guard ~stage:"flow.run" (fun () ->
-            match budget with
-            | Some b -> Budget.with_current b (fun () -> runner alg)
-            | None -> runner alg)
-      in
-      match res with
+      match attempt ?budget ~stage:"flow.run" (fun () -> solve p alg) with
       | Ok run -> Ok { run with degradations = List.rev degs }
       | Error e -> (
         Obs_metrics.incr degradations_c;
-        (* The failed attempt never reached run_prepared's Solve_end:
+        let next = match rest with [] -> None | a :: _ -> Some a in
+        (* The failed attempt never reached [evaluate]'s Solve_end:
            close its timeline entry, then record the transition with
            the triggering error so a dump explains why it fired. *)
         if Flight.enabled () then begin
           Flight.record
             (Flight.Solve_end
-               { benchmark = name;
+               { benchmark = p.prep_name;
                  algorithm = algorithm_name alg;
                  ok = false;
                  wall_ms = (Clock.now_s () -. t0) *. 1000.0 });
           Flight.record
             (Flight.Fallback
                { from_alg = algorithm_name alg;
-                 to_alg =
-                   (match rest with
-                   | [] -> None
-                   | next :: _ -> Some (algorithm_name next));
+                 to_alg = Option.map algorithm_name next;
                  code = Verrors.code_name e.Verrors.code;
                  message = e.Verrors.message })
         end;
-        match rest with
-        | [] -> Error (e, List.rev ({ from_alg = alg; to_alg = None; error = e } :: degs))
-        | next :: _ ->
+        let degs = { from_alg = alg; to_alg = next; error = e } :: degs in
+        match next with
+        | None -> Error (e, List.rev degs)
+        | Some next ->
           Log.warn (fun m ->
-              m "%s: %s failed (%s); falling back to %s" name
+              m "%s: %s failed (%s); falling back to %s" p.prep_name
                 (algorithm_name alg)
                 (Verrors.code_name e.Verrors.code)
                 (algorithm_name next));
@@ -263,29 +255,9 @@ let robust ?budget ~name ~runner algorithm =
           let budget =
             if e.Verrors.code = Verrors.Budget_exhausted then None else budget
           in
-          attempt budget ({ from_alg = alg; to_alg = Some next; error = e } :: degs) rest))
+          go budget degs rest))
   in
-  attempt budget [] (fallback_chain algorithm)
-
-let run_tree_robust ?params ?budget ~name tree algorithm =
-  robust ?budget ~name
-    ~runner:(fun alg -> run_tree ?params ~name tree alg)
-    algorithm
-
-let run_prepared_robust ?budget p algorithm =
-  robust ?budget ~name:p.prep_name
-    ~runner:(fun alg -> run_prepared p alg)
-    algorithm
-
-let run_benchmark_robust ?params ?budget spec algorithm =
-  match
-    Verrors.guard ~stage:"flow.synthesize" (fun () ->
-        Repro_cts.Benchmarks.synthesize spec)
-  with
-  | Error e -> Error (e, [])
-  | Ok tree ->
-    run_tree_robust ?params ?budget ~name:spec.Repro_cts.Benchmarks.name tree
-      algorithm
+  go budget [] algorithms
 
 (* ------------------------------------------------------------------ *)
 (* Solver portfolio                                                    *)
@@ -297,7 +269,7 @@ let portfolio_members = [ Wavemin; Wavemin_fast; Sa ]
    so later members trip immediately) and keep the best golden peak.
    The order is fixed, the attempts sequential — the portfolio is as
    deterministic as its members. *)
-let run_prepared_portfolio ?budget p =
+let portfolio ?budget p =
   Trace.with_span ~name:"flow.portfolio" ~attrs:[ ("benchmark", p.prep_name) ]
   @@ fun () ->
   let t0 = Clock.now_s () in
@@ -306,156 +278,124 @@ let run_prepared_portfolio ?budget p =
       (fun member ->
         let a0 = Clock.now_s () in
         let res =
-          Verrors.guard ~stage:"flow.portfolio" (fun () ->
-              match budget with
-              | Some b -> Budget.with_current b (fun () -> run_prepared p member)
-              | None -> run_prepared p member)
+          attempt ?budget ~stage:"flow.portfolio" (fun () -> solve p member)
         in
         (member, Clock.now_s () -. a0, res))
       portfolio_members
   in
-  let ranked =
-    List.filter_map
-      (function
-        | (member, wall, Ok run) -> Some (member, wall, run)
-        | (_, _, Error _) -> None)
-      attempts
-  in
+  (* Lowest golden peak wins; ties go to the earlier member. *)
   let winner =
     List.fold_left
-      (fun acc (member, _, run) ->
-        match acc with
-        | Some (_, _, best)
-          when best.metrics.Golden.peak_current_ma
+      (fun best (_, _, res) ->
+        match (best, res) with
+        | Some b, Ok run
+          when b.metrics.Golden.peak_current_ma
                <= run.metrics.Golden.peak_current_ma ->
-          acc
-        | _ -> Some (algorithm_name member, member, run))
-      None ranked
+          best
+        | _, Ok run -> Some run
+        | _, Error _ -> best)
+      None attempts
+  in
+  let winner_alg = Option.map (fun r -> r.algorithm) winner in
+  let entries =
+    List.map
+      (fun (member, wall_s, res) ->
+        { member;
+          won = winner_alg = Some member;
+          wall_s;
+          peak_ma =
+            (match res with
+            | Ok run -> Some run.metrics.Golden.peak_current_ma
+            | Error _ -> None);
+          failure = (match res with Error e -> Some e | Ok _ -> None) })
+      attempts
+  in
+  (* Failed members point at whatever answers instead: the winner, or
+     the reference assignment when every member failed. *)
+  let to_alg = Some (Option.value winner_alg ~default:Initial) in
+  let degs =
+    List.filter_map
+      (fun (member, _, res) ->
+        match res with
+        | Ok _ -> None
+        | Error error ->
+          Obs_metrics.incr degradations_c;
+          Some { from_alg = member; to_alg; error })
+      attempts
   in
   match winner with
-  | None ->
-    (* Every member failed (broken input or an instantly-tripped
-       budget): degrade to the reference assignment so the caller still
-       gets an answer, with the full failure record attached. *)
-    let degs =
-      List.filter_map
-        (function
-          | (member, _, Error e) ->
-            Some { from_alg = member; to_alg = Some Initial; error = e }
-          | _ -> None)
-        attempts
-    in
-    let entries =
-      List.map
-        (fun (member, wall, res) ->
-          { member;
-            won = false;
-            wall_s = wall;
-            peak_ma = None;
-            failure = (match res with Error e -> Some e | Ok _ -> None) })
-        attempts
-    in
-    (match Verrors.guard ~stage:"flow.portfolio" (fun () ->
-         run_prepared p Initial)
-     with
-    | Ok run ->
-      Ok { run with degradations = degs; portfolio = entries }
-    | Error e ->
-      Error (e, degs @ [ { from_alg = Initial; to_alg = None; error = e } ]))
-  | Some (winner_name, winner_alg, winner_run) ->
-    let entries =
-      List.map
-        (fun (member, wall, res) ->
-          match res with
-          | Ok run ->
-            { member;
-              won = member = winner_alg;
-              wall_s = wall;
-              peak_ma = Some run.metrics.Golden.peak_current_ma;
-              failure = None }
-          | Error e ->
-            { member;
-              won = false;
-              wall_s = wall;
-              peak_ma = None;
-              failure = Some e })
-        attempts
-    in
-    let degs =
-      List.filter_map
-        (function
-          | (member, _, Error e) ->
-            Obs_metrics.incr degradations_c;
-            Some { from_alg = member; to_alg = Some winner_alg; error = e }
-          | _ -> None)
-        attempts
-    in
+  | Some run ->
     if Flight.enabled () then
       Flight.record
         (Flight.Portfolio_winner
-           { winner = winner_name;
+           { winner = algorithm_name run.algorithm;
              losers =
                List.filter_map
-                 (fun (m, _, _) ->
-                   if m = winner_alg then None else Some (algorithm_name m))
-                 attempts;
+                 (fun m ->
+                   if m = run.algorithm then None else Some (algorithm_name m))
+                 portfolio_members;
              wall_ms = (Clock.now_s () -. t0) *. 1000.0 });
-    Ok { winner_run with degradations = degs; portfolio = entries }
-
-let run_benchmark_portfolio ?params ?budget spec =
-  match
-    Verrors.guard ~stage:"flow.synthesize" (fun () ->
-        Repro_cts.Benchmarks.synthesize spec)
-  with
-  | Error e -> Error (e, [])
-  | Ok tree ->
-    run_prepared_portfolio ?budget
-      (prepare ?params ~name:spec.Repro_cts.Benchmarks.name tree)
+    Ok { run with degradations = degs; portfolio = entries }
+  | None -> (
+    (* Every member failed (broken input or an instantly-tripped
+       budget): degrade to the reference assignment so the caller still
+       gets an answer, with the full failure record attached. *)
+    match attempt ~stage:"flow.portfolio" (fun () -> solve p Initial) with
+    | Ok run -> Ok { run with degradations = degs; portfolio = entries }
+    | Error e ->
+      Error (e, degs @ [ { from_alg = Initial; to_alg = None; error = e } ]))
 
 (* ------------------------------------------------------------------ *)
 (* Warm-started re-solves                                              *)
 
 let warm_starts_c = Obs_metrics.counter "flow.warm_starts"
 
-let resolve_warm ?budget p ~previous =
-  let attempt =
-    Verrors.guard ~stage:"flow.resolve_warm" (fun () ->
-        let solve () =
-          let ctx = prepared_context p in
-          let outcome, stats =
-            Clk_sa.optimize_stats ~config:Clk_sa.warm_config ~warm:previous
-              ctx
-          in
-          if Flight.enabled () then
-            Flight.record
-              (Flight.Warm_start
-                 { benchmark = p.prep_name;
-                   moves = stats.Clk_sa.proposed;
-                   objective = outcome.Context.predicted_peak_ua });
-          Obs_metrics.incr warm_starts_c;
-          ( outcome.Context.assignment,
-            outcome.Context.predicted_peak_ua,
-            outcome.Context.approximate,
-            Some stats )
-        in
-        match budget with
-        | Some b ->
-          Budget.with_current b (fun () ->
-              run_prepared_with p ~algorithm:Sa ~solve)
-        | None -> run_prepared_with p ~algorithm:Sa ~solve)
+let warm ?budget p previous =
+  let quench () =
+    let outcome, stats =
+      Clk_sa.optimize_stats ~config:Clk_sa.warm_config ~warm:previous
+        (prepared_context p)
+    in
+    if Flight.enabled () then
+      Flight.record
+        (Flight.Warm_start
+           { benchmark = p.prep_name;
+             moves = stats.Clk_sa.proposed;
+             objective = outcome.Context.predicted_peak_ua });
+    Obs_metrics.incr warm_starts_c;
+    of_outcome outcome (Some stats)
   in
-  match attempt with
+  match
+    attempt ?budget ~stage:"flow.resolve_warm" (fun () ->
+        evaluate p ~algorithm:Sa ~solve:quench)
+  with
   | Ok run -> Ok run
-  | Error e ->
+  | Error e -> (
     (* The quench failed (tripped budget, injected fault): fall through
-       to the cold robust chain, recording the abandoned warm start. *)
+       to the cold Sa chain, recording the abandoned warm start. *)
     Log.warn (fun m ->
         m "%s: warm start failed (%s); cold solve" p.prep_name
           (Verrors.code_name e.Verrors.code));
     let deg = { from_alg = Sa; to_alg = Some Sa; error = e } in
-    (match run_prepared_robust ?budget p Sa with
+    match chain ?budget p (fallback_chain Sa) with
     | Ok run -> Ok { run with degradations = deg :: run.degradations }
     | Error (e', degs) -> Error (e', deg :: degs))
+
+(* ------------------------------------------------------------------ *)
+
+type strategy =
+  | Single of algorithm
+  | Chain of algorithm
+  | Portfolio
+  | Warm of Assignment.t
+
+let run ?budget p = function
+  | Single alg ->
+    attempt ?budget ~stage:"flow.run" (fun () -> solve p alg)
+    |> Result.map_error (fun e -> (e, []))
+  | Chain alg -> chain ?budget p (fallback_chain alg)
+  | Portfolio -> portfolio ?budget p
+  | Warm previous -> warm ?budget p previous
 
 let improvement_pct ~baseline ~value =
   if baseline = 0.0 then 0.0 else (baseline -. value) /. baseline *. 100.0

@@ -23,8 +23,8 @@ type degradation = {
       (** The fallback tried next; [None] when the chain was exhausted. *)
   error : Repro_util.Verrors.t;  (** Why the attempt failed. *)
 }
-(** One link of the fallback chain ClkWaveMin → ClkWaveMin-f →
-    ClkPeakMin → Initial taken by {!run_tree_robust}. *)
+(** One link of a fallback chain (ClkWaveMin → ClkWaveMin-f →
+    ClkPeakMin → Initial for a {!Chain} run). *)
 
 type portfolio_entry = {
   member : algorithm;
@@ -33,7 +33,7 @@ type portfolio_entry = {
   peak_ma : float option;  (** Golden peak; [None] when it failed. *)
   failure : Repro_util.Verrors.t option;
 }
-(** One member's result in a {!run_prepared_portfolio} race. *)
+(** One member's result in a {!Portfolio} race. *)
 
 type run = {
   benchmark : string;
@@ -55,42 +55,36 @@ type run = {
           [Peakmin] and [Wavemin_fast]. *)
   degradations : degradation list;
       (** Fallback links taken before this run succeeded, oldest first.
-          Empty for {!run_tree}/{!run_benchmark} and for robust runs
-          whose first attempt succeeded; when non-empty, [algorithm] is
-          the member of the chain that actually produced the result. *)
+          Empty when the first attempt succeeded; when non-empty,
+          [algorithm] is the member that actually produced the
+          result. *)
   sa : Clk_sa.stats option;
       (** The annealer's move counters — [Some] exactly when [algorithm]
           is [Sa] (including warm starts). *)
   portfolio : portfolio_entry list;
-      (** Per-member results when this run came from
-          {!run_prepared_portfolio}; empty otherwise. *)
+      (** Per-member results of a {!Portfolio} run; empty
+          otherwise. *)
 }
+
+val quality : run -> (string * float) list
+(** The run's quality fields in report order: [peak_current_ma],
+    [vdd_noise_mv], [gnd_noise_mv], [skew_ps], [predicted_peak_ua],
+    [num_leaf_inverters] — the names every JSON and BENCH rendering of
+    a run uses. *)
 
 val leaf_library : unit -> Repro_cell.Cell.t list
 (** The experiment library of Sec. VII-A:
     BUF_X8, BUF_X16, INV_X8, INV_X16. *)
 
-val run_tree :
-  ?params:Context.params ->
-  name:string ->
-  Repro_clocktree.Tree.t ->
-  algorithm ->
-  run
-(** Optimize an existing tree and evaluate the result. *)
+(** {1 Preparing a design}
 
-val run_benchmark :
-  ?params:Context.params -> Repro_cts.Benchmarks.spec -> algorithm -> run
-(** Synthesize the benchmark tree, then {!run_tree}. *)
-
-(** {1 Prepared (warm-cache) runs}
-
-    A {!prepared} bundles a synthesized tree with its optimization
-    context, built at most once and reused by every subsequent
-    {!run_prepared} — the unit the server's session cache
-    ({!Repro_server.Session}) keeps warm.  Context construction (timing
-    analysis, zone partitioning, noise tables, the candidate-waveform
-    memo) dominates a single run's cost, so a warm [prepared] makes
-    repeat requests measurably cheaper.  Reuse is safe: the context is
+    A {!prepared} bundles a tree with its optimization context.  The
+    context (timing analysis, zone partitioning, noise tables, the
+    candidate-waveform memo) dominates a single run's cost; it is built
+    exactly once, on the first solver run, even when several threads
+    run the same [prepared] concurrently, and is shared by every later
+    run — the unit the server's session cache
+    ({!Repro_server.Session}) keeps warm.  Reuse is safe: the context is
     immutable once built, so warm and cold runs return bit-identical
     results.  If construction raises (injected fault, infeasible input)
     nothing is memoized and the next run retries. *)
@@ -103,115 +97,79 @@ val prepare :
   name:string ->
   Repro_clocktree.Tree.t ->
   prepared
-(** Wrap a tree for repeated runs.  [cells] defaults to
-    {!leaf_library}; the context itself is built lazily on the first
-    solver run (never for [Initial]). *)
+(** Wrap a tree for runs.  [params] defaults to
+    {!Context.default_params} and [cells] to {!leaf_library}; the
+    context is built lazily (never for [Initial]).  A fresh [prepare]
+    per run makes that run's [elapsed_s] include context construction. *)
 
-val prepared_name : prepared -> string
+val prepare_benchmark :
+  ?params:Context.params ->
+  Repro_cts.Benchmarks.spec ->
+  (prepared, Repro_util.Verrors.t) result
+(** Synthesize the benchmark tree and {!prepare} it; a synthesis
+    failure comes back as [Error] (stage [flow.synthesize]). *)
+
 val prepared_tree : prepared -> Repro_clocktree.Tree.t
-val prepared_params : prepared -> Context.params
 val prepared_cells : prepared -> Repro_cell.Cell.t list
 
-val context_warm : prepared -> bool
-(** Whether the context has already been built (and memoized). *)
+(** {1 Running a strategy}
 
-val run_prepared : prepared -> algorithm -> run
-(** {!run_tree} against the prepared tree, reusing the memoized
-    context.  [elapsed_s]/[cpu_s] cover only this call, so warm runs
-    report the residual solver time. *)
+    {!run} is the one way to solve.  It never raises (asynchronous
+    exceptions aside): every attempt runs under the optional
+    {!Repro_obs.Budget} and any failure — infeasible window, exhausted
+    budget, injected fault, or any exception captured by
+    {!Repro_util.Verrors.guard} — is returned as a structured error;
+    every strategy but [Single] also records it as a {!degradation}
+    (counted in the [flow.degradations] metric).  Each attempt is one
+    [flow.run_tree] trace span bracketed by [Solve_start]/[Solve_end]
+    flight events; its [elapsed_s]/[cpu_s] cover the optimizer only,
+    so a run on an already-built context reports the residual solver
+    time. *)
 
-(** {1 Graceful degradation}
+type strategy =
+  | Single of algorithm
+      (** One attempt, no fallback: a failure is [Error (e, [])] and
+          is neither counted as a degradation nor flight-recorded as a
+          fallback. *)
+  | Chain of algorithm
+      (** The algorithm, then its cheaper fallbacks along ClkWaveMin
+          → ClkWaveMin-f → ClkPeakMin → Initial from its own position
+          (ClkSA falls back to ClkWaveMin-f first).  A budget that
+          tripped is dropped for the remaining attempts: the cheaper
+          fallback gets its chance instead of re-tripping instantly.
+          Each downgrade is logged at warning level and flight-recorded
+          as a [Fallback] event.  [Initial] cannot hit a solver
+          failure, so the chain only exhausts on inputs that are broken
+          end-to-end. *)
+  | Portfolio
+      (** Race ClkWaveMin, ClkWaveMin-f and ClkSA, in that order,
+          under ONE shared budget (span [flow.portfolio]) and return
+          the member with the lowest golden peak current (ties go to
+          the earlier, more deterministic member).  A member that exhausts the shared
+          budget leaves the rest to trip instantly — only results
+          banked within the budget compete.  Every member lands in
+          [run.portfolio]; failures also appear as degradations, and a
+          [Portfolio_winner] flight event closes the race.  When every
+          member fails, the reference [Initial] assignment is returned
+          with the failures attached. *)
+  | Warm of Repro_clocktree.Assignment.t
+      (** Re-solve by annealing from a previous assignment (for the
+          same tree under nearby parameters) with the low-temperature
+          quench schedule ({!Clk_sa.warm_config}) instead of solving
+          cold — the ECO path behind the server's warm-start cache.
+          Counted in the [flow.warm_starts] metric and flight-recorded
+          as a [Warm_start] event.  If the quench fails, the cold [Sa]
+          chain runs with the abandoned warm start recorded as its
+          first degradation. *)
 
-    The robust runners never raise (asynchronous exceptions aside).
-    Each attempt runs under the optional {!Repro_obs.Budget}; on a
-    structured failure — infeasible window, exhausted budget, injected
-    fault, or any exception captured by {!Repro_util.Verrors.guard} —
-    the next algorithm of {!fallback_chain} is tried and the downgrade
-    is recorded (also counted in the [flow.degradations] metric and
-    logged at warning level).  A budget that tripped is dropped for the
-    remaining attempts: the cheaper fallback gets its chance instead of
-    re-tripping instantly.  [Initial] cannot hit a solver failure, so
-    the chain only exhausts on inputs that are broken end-to-end. *)
-
-val fallback_chain : algorithm -> algorithm list
-(** The algorithm itself followed by its cheaper fallbacks, ending in
-    [Initial]. *)
-
-val run_tree_robust :
-  ?params:Context.params ->
-  ?budget:Repro_obs.Budget.t ->
-  name:string ->
-  Repro_clocktree.Tree.t ->
-  algorithm ->
-  (run, Repro_util.Verrors.t * degradation list) result
-(** Like {!run_tree} with the fallback chain.  [Ok run] carries the
-    downgrades in [run.degradations]; [Error (e, degradations)] is the
-    final failure after the whole chain (the last degradation has
-    [to_alg = None]). *)
-
-val run_prepared_robust :
-  ?budget:Repro_obs.Budget.t ->
-  prepared ->
-  algorithm ->
-  (run, Repro_util.Verrors.t * degradation list) result
-(** {!run_tree_robust} over a {!prepared}: the fallback chain shares
-    the memoized context instead of rebuilding it per attempt. *)
-
-val run_benchmark_robust :
-  ?params:Context.params ->
-  ?budget:Repro_obs.Budget.t ->
-  Repro_cts.Benchmarks.spec ->
-  algorithm ->
-  (run, Repro_util.Verrors.t * degradation list) result
-(** Synthesize (failures captured as [Error]) then {!run_tree_robust}. *)
-
-(** {1 Solver portfolio}
-
-    The portfolio races ClkWaveMin, ClkWaveMin-f and ClkSA sequentially
-    under ONE shared budget and returns the member with the lowest
-    golden peak current ([best-under-budget]; ties go to the earlier,
-    more deterministic member).  A member that exhausts the shared
-    budget leaves the rest to trip instantly — only results banked
-    within the budget compete.  Losing and failed members are recorded
-    in [run.portfolio]; failures additionally appear as
-    degradation-style annotations and a [Portfolio_winner] flight event
-    closes the race. *)
-
-val portfolio_members : algorithm list
-(** [Wavemin; Wavemin_fast; Sa], the fixed race order. *)
-
-val run_prepared_portfolio :
+val run :
   ?budget:Repro_obs.Budget.t ->
   prepared ->
+  strategy ->
   (run, Repro_util.Verrors.t * degradation list) result
-(** Race the portfolio over a prepared benchmark.  When every member
-    fails, the reference [Initial] assignment is returned with the
-    failures attached (mirroring the robust chain's last resort);
-    [Error] only when even that is impossible. *)
-
-val run_benchmark_portfolio :
-  ?params:Context.params ->
-  ?budget:Repro_obs.Budget.t ->
-  Repro_cts.Benchmarks.spec ->
-  (run, Repro_util.Verrors.t * degradation list) result
-(** Synthesize (failures captured as [Error]) then
-    {!run_prepared_portfolio}. *)
-
-(** {1 Warm-started re-solves} *)
-
-val resolve_warm :
-  ?budget:Repro_obs.Budget.t ->
-  prepared ->
-  previous:Repro_clocktree.Assignment.t ->
-  (run, Repro_util.Verrors.t * degradation list) result
-(** Re-solve by annealing from [previous] (a cached assignment for the
-    same tree under nearby parameters) with the low-temperature quench
-    schedule ({!Clk_sa.warm_config}) instead of solving cold — the ECO
-    path behind the server's warm-start cache.  Counted in the
-    [flow.warm_starts] metric and flight-recorded as a [Warm_start]
-    event.  If the quench itself fails, falls back to the cold robust
-    [Sa] chain with the abandoned warm start recorded as a
-    degradation. *)
+(** [Ok run] carries the downgrades in [run.degradations];
+    [Error (e, degradations)] is the final failure (the last
+    degradation has [to_alg = None]). *)
 
 val improvement_pct : baseline:float -> value:float -> float
 (** [(baseline - value) / baseline * 100] — the paper's improvement

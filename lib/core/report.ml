@@ -1,6 +1,5 @@
 module Tree = Repro_clocktree.Tree
 module Tree_stats = Repro_clocktree.Tree_stats
-module Assignment = Repro_clocktree.Assignment
 module Timing = Repro_clocktree.Timing
 
 let buf_add = Buffer.add_string
@@ -44,21 +43,12 @@ let for_tree ?(params = Context.default_params) ~name tree ~algorithms =
   buf_add b "|---|---|---|---|---|---|---|---|---|\n";
   List.iter
     (fun algo ->
-      let r = Flow.run_tree ~params ~name tree algo in
-      let asg =
-        (* Re-derive the assignment for the power columns. *)
-        match algo with
-        | Flow.Initial -> Assignment.default tree ~num_modes:1
-        | Flow.Peakmin | Flow.Wavemin | Flow.Wavemin_fast | Flow.Sa ->
-          let ctx = Context.create ~params ~env tree ~cells:(Flow.leaf_library ()) in
-          (match algo with
-          | Flow.Peakmin -> (Clk_peakmin.optimize ctx).Context.assignment
-          | Flow.Wavemin -> (Clk_wavemin.optimize ctx).Context.assignment
-          | Flow.Wavemin_fast -> (Clk_wavemin_f.optimize ctx).Context.assignment
-          | Flow.Sa -> (Clk_sa.optimize ctx).Context.assignment
-          | Flow.Initial -> assert false)
+      let r =
+        match Flow.run (Flow.prepare ~params ~name tree) (Flow.Single algo) with
+        | Ok r -> r
+        | Error (e, _) -> raise (Repro_util.Verrors.Error e)
       in
-      let p = Power.analyze tree asg env in
+      let p = Power.analyze tree r.Flow.assignment env in
       buf_add b
         (Printf.sprintf "| %s | %.2f | %.2f | %.2f | %.2f | %d | %.1f | %.1f | %.3f |\n"
            (Flow.algorithm_name algo)

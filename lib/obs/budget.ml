@@ -13,7 +13,21 @@ type t = {
      checks re-raise without re-deriving, so a tripped budget cancels
      cooperating workers promptly. *)
   tripped : (string * Verrors.code) option Atomic.t;
+  task : task option;  (* [Some] for one task's tally in {!ordered_tasks} *)
 }
+
+(* One parallel task's private label tally.  Its charges stay local so
+   that the region can replay them in task order; its other limits are
+   the parent's. *)
+and task = {
+  parent : t;
+  index : int;
+  room : int;  (* labels the parent had left when the region opened *)
+  tallies : int Atomic.t array;  (* every task's [labels], by index *)
+  mutable charges : int list;  (* local running totals, newest first *)
+}
+
+exception Task_stopped
 
 let create ?wall_ms ?deadline_ns ?max_labels () =
   (match wall_ms with
@@ -32,6 +46,7 @@ let create ?wall_ms ?deadline_ns ?max_labels () =
     max_labels;
     labels = Atomic.make 0;
     tripped = Atomic.make None;
+    task = None;
   }
 
 let labels_used t = Atomic.get t.labels
@@ -74,7 +89,12 @@ let tripped_with t =
 
 let exceeded t = Option.map fst (tripped_with t)
 
-let check t =
+let rec check t =
+  match t.task with
+  | Some k -> check_task t k
+  | None -> check_own t
+
+and check_own t =
   match tripped_with t with
   | None -> ()
   | Some (reason, (Verrors.Deadline_exceeded as code)) ->
@@ -90,8 +110,24 @@ let check t =
            degradation" ]
       reason
 
+(* A task stops once the lower-index tasks' tallies plus its own
+   overrun the room the parent had.  Those tallies only grow, so the
+   trip is then certain at or before this charge, and every higher task
+   stops at its next check too.  At jobs 1 the lower tasks are finished
+   and this is exactly where a sequential run trips. *)
+and check_task t k =
+  check k.parent;
+  let used = ref (Atomic.get t.labels) in
+  for j = 0 to k.index - 1 do
+    used := !used + Atomic.get k.tallies.(j)
+  done;
+  if !used > k.room then raise Task_stopped
+
 let charge_labels t n =
-  if n > 0 then ignore (Atomic.fetch_and_add t.labels n);
+  if n > 0 then begin
+    let total = Atomic.fetch_and_add t.labels n + n in
+    match t.task with Some k -> k.charges <- total :: k.charges | None -> ()
+  end;
   check t
 
 (* ------------------------------------------------------------------ *)
@@ -143,3 +179,57 @@ let check_current () =
 
 let charge_labels_current n =
   match current () with None -> () | Some t -> charge_labels t n
+
+(* ------------------------------------------------------------------ *)
+(* Ordered label tallies for parallel tasks                            *)
+
+let ordered_tasks n f fan_out =
+  let unwrap =
+    Array.map (function Some v -> v | None -> assert false (* tripped *))
+  in
+  match current () with
+  | None | Some { max_labels = None; _ } | Some { task = Some _; _ } ->
+    unwrap (fan_out (fun i -> Some (f i)))
+  | Some ({ max_labels = Some cap; _ } as owner) ->
+    let room = cap - Atomic.get owner.labels in
+    let tallies = Array.init n (fun _ -> Atomic.make 0) in
+    let tasks =
+      Array.init n (fun index ->
+          { owner with
+            labels = tallies.(index);
+            tripped = Atomic.make None;
+            task = Some { parent = owner; index; room; tallies; charges = [] } })
+    in
+    (* Replay every task's charges in task order, as a sequential run
+       would have made them, up to the first one past the cap. *)
+    let settle () =
+      let base = Atomic.get owner.labels in
+      let rec replay prefix i =
+        if i = n then prefix
+        else
+          let local =
+            match tasks.(i).task with Some k -> List.rev k.charges | None -> []
+          in
+          match List.find_opt (fun c -> prefix + c > cap) local with
+          | Some c -> prefix + c
+          | None -> replay (prefix + Atomic.get tallies.(i)) (i + 1)
+      in
+      ignore (Atomic.fetch_and_add owner.labels (replay base 0 - base))
+    in
+    let run i =
+      match with_current tasks.(i) (fun () -> check tasks.(i); f i) with
+      | v -> Some v
+      | exception Task_stopped -> None
+    in
+    let results =
+      match fan_out run with
+      | results -> settle (); results
+      | exception e ->
+        (* A fault or wall-clock trip must not lose the labels charged
+           so far: the next fallback attempt starts from them. *)
+        let bt = Printexc.get_raw_backtrace () in
+        settle ();
+        Printexc.raise_with_backtrace e bt
+    in
+    check owner;
+    unwrap results

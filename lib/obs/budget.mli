@@ -11,9 +11,11 @@
     in-flight parallel batches drain quickly instead of finishing their
     full work.
 
-    Exceeding a budget is deterministic for label limits (label counts
-    do not depend on the job count) and inherently timing-dependent for
-    wall-clock deadlines; either way the flow records the downgrade as a
+    Exceeding a label limit is deterministic at any job count: parallel
+    zone solves keep one tally per zone and replay them in zone order
+    ({!ordered_tasks}), so the trip point and the label count in its
+    message are those of a sequential run.  Wall-clock deadlines are inherently
+    timing-dependent.  Either way the flow records the downgrade as a
     [degradation] instead of failing the run.
 
     The {e ambient} budget is a thread-scoped slot ({!with_current})
@@ -64,3 +66,21 @@ val check_current : unit -> unit
 (** {!check} on the ambient budget; no-op when none is installed. *)
 
 val charge_labels_current : int -> unit
+
+(** {1 Ordered label tallies} *)
+
+val ordered_tasks :
+  int -> (int -> 'a) -> ((int -> 'a option) -> 'a option array) -> 'a array
+(** [ordered_tasks n f fan_out] runs [fan_out task], where [task i] runs
+    [f i], and returns the results by index.  Under an ambient label
+    limit each task charges its own tally, and the tallies are charged
+    to the budget afterwards in task order, as a sequential run would
+    have: the trip, and the label count in its message, do not depend
+    on thread scheduling.  A task stops early ([None]) once the
+    lower-index tasks' labels plus its own overrun the limit, so at
+    jobs 1 the work done before the trip is that of a plain sequential
+    loop.  If [fan_out] raises (a fault, a wall-clock trip), the labels
+    charged so far are still added before the error is re-raised.
+    Without a label limit, or inside another task, [task i] is [f i].
+    @raise Repro_util.Verrors.Error like {!check} at the first charge
+    past the label limit. *)

@@ -112,9 +112,12 @@ let parallel_map ?(label = "map") f arr =
   else if sequential () then Array.map f arr
   else with_region label (Array.length arr) (fun p -> Pool.map p f arr)
 
+(* Label-budget charges are kept per task and replayed in index order,
+   so a label trip does not depend on scheduling. *)
 let parallel_init ?(label = "init") n f =
   if n < 0 then invalid_arg "Par.parallel_init: negative length";
-  parallel_map ~label f (Array.init n Fun.id)
+  Budget.ordered_tasks n f (fun task ->
+      parallel_map ~label task (Array.init n Fun.id))
 
 let parallel_map_reduce ?(label = "map_reduce") ~f ~reduce ~init arr =
   (* The reduction is an ordered left fold over the mapped array, so it

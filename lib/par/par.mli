@@ -55,7 +55,10 @@ val parallel_map : ?label:string -> ('a -> 'b) -> 'a array -> 'b array
 (** [parallel_map f arr] = [Array.map f arr], fanned across the pool. *)
 
 val parallel_init : ?label:string -> int -> (int -> 'a) -> 'a array
-(** [parallel_init n f] = [Array.init n f], fanned across the pool. *)
+(** [parallel_init n f] = [Array.init n f], fanned across the pool.
+    Tasks that charge MOSP labels to the ambient budget charge them in
+    index order ({!Repro_obs.Budget.ordered_tasks}), so a label-budget
+    trip and its message are the same at any job count. *)
 
 val parallel_map_reduce :
   ?label:string ->

@@ -1,6 +1,5 @@
 module Flow = Repro_core.Flow
 module Context = Repro_core.Context
-module Golden = Repro_core.Golden
 module Preflight = Repro_core.Preflight
 module Montecarlo = Repro_core.Montecarlo
 module Benchmarks = Repro_cts.Benchmarks
@@ -48,14 +47,7 @@ let run_json (r : Flow.run) =
     [ ("benchmark", Json.Str r.Flow.benchmark);
       ("algorithm", Json.Str (Flow.algorithm_name r.Flow.algorithm));
       ( "quality",
-        Json.Obj
-          [ ("peak_current_ma", Json.Num r.Flow.metrics.Golden.peak_current_ma);
-            ("vdd_noise_mv", Json.Num r.Flow.metrics.Golden.vdd_noise_mv);
-            ("gnd_noise_mv", Json.Num r.Flow.metrics.Golden.gnd_noise_mv);
-            ("skew_ps", Json.Num r.Flow.metrics.Golden.skew_ps);
-            ("predicted_peak_ua", Json.Num r.Flow.predicted_peak_ua);
-            ( "num_leaf_inverters",
-              Json.Num (float_of_int r.Flow.num_leaf_inverters) ) ] );
+        Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) (Flow.quality r)) );
       ("approximate", Json.Bool r.Flow.approximate);
       ( "degradations",
         Json.List (List.map degradation_json r.Flow.degradations) ) ]
@@ -101,55 +93,47 @@ let prepared ?meta session (o : P.solve_opts) ~stage =
       | Ok (_, `Hit) -> m.cache <- Cache_hit
       | Ok (_, `Miss) -> m.cache <- Cache_miss
       | Error _ -> ()));
-    result
+    Result.map (fun (prep, _) -> (spec, prep)) result
 
 let handle_run ?meta ?deadline_ns session (o : P.solve_opts) algorithm ~warm =
   match prepared ?meta session o ~stage:"server.run" with
   | Error e -> Error (e, [])
-  | Ok (prep, _) ->
+  | Ok (spec, prep) ->
     let budget = budget_of ?deadline_ns o in
     (* The base key (tree + library, params excluded) indexes the
-       warm-start store: [find_spec] cannot fail here because
-       [prepared] already resolved the same name. *)
-    let base =
-      match find_spec ~stage:"server.run" o.P.benchmark with
-      | Ok spec -> Some (Session.base_key ~spec ~library:o.P.library)
-      | Error _ -> None
+       warm-start store. *)
+    let base = Session.base_key ~spec ~library:o.P.library in
+    let hint =
+      if warm && algorithm = Flow.Sa then Session.warm_hint session ~base
+      else None
     in
     let result =
-      match (warm, algorithm, base) with
-      | true, Flow.Sa, Some base -> (
-        match Session.warm_hint session ~base with
-        | Some (_prev_params, previous) ->
-          (match meta with
-          | None -> ()
-          | Some m -> m.cache <- Cache_warm);
-          Flow.resolve_warm ?budget prep ~previous
-        | None -> Flow.run_prepared_robust ?budget prep algorithm)
-      | _ -> Flow.run_prepared_robust ?budget prep algorithm
+      match hint with
+      | Some (_prev_params, previous) ->
+        (match meta with
+        | None -> ()
+        | Some m -> m.cache <- Cache_warm);
+        Flow.run ?budget prep (Flow.Warm previous)
+      | None -> Flow.run ?budget prep (Flow.Chain algorithm)
     in
     (* Bank any real solver's solution (the Initial reference is just
        the default assignment — nothing worth quenching from). *)
-    (match (result, base) with
-    | Ok r, Some base when r.Flow.algorithm <> Flow.Initial ->
+    (match result with
+    | Ok r when r.Flow.algorithm <> Flow.Initial ->
       Session.remember_warm session ~base ~params:(params_of o)
         r.Flow.assignment
     | _ -> ());
-    (match result with
-    | Ok r -> Ok (run_json r)
-    | Error (e, degs) -> Error (e, degs))
+    Result.map run_json result
 
 let handle_compare ?meta ?deadline_ns session (o : P.solve_opts) =
   match prepared ?meta session o ~stage:"server.compare" with
   | Error e -> Error (e, [])
-  | Ok (prep, _) ->
+  | Ok (_, prep) ->
     let rows =
       List.map
         (fun algorithm ->
           match
-            Flow.run_prepared_robust
-              ?budget:(budget_of ?deadline_ns o)
-              prep algorithm
+            Flow.run ?budget:(budget_of ?deadline_ns o) prep (Flow.Chain algorithm)
           with
           | Ok r -> run_json r
           | Error (e, degs) ->
@@ -209,11 +193,9 @@ let handle_validate session (o : P.solve_opts) ~all =
 let handle_montecarlo ?meta ?deadline_ns session (o : P.solve_opts) ~instances =
   match prepared ?meta session o ~stage:"server.montecarlo" with
   | Error e -> Error (e, [])
-  | Ok (prep, _) -> (
+  | Ok (_, prep) -> (
     match
-      Flow.run_prepared_robust
-        ?budget:(budget_of ?deadline_ns o)
-        prep Flow.Wavemin
+      Flow.run ?budget:(budget_of ?deadline_ns o) prep (Flow.Chain Flow.Wavemin)
     with
     | Error (e, degs) -> Error (e, degs)
     | Ok r -> (

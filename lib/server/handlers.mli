@@ -22,7 +22,7 @@ type cache_outcome =
   | Cache_warm
       (** A warm-opted [Sa] run found a banked assignment for the same
           tree and library and re-solved by annealer quench
-          ({!Repro_core.Flow.resolve_warm}) instead of solving cold. *)
+          ({!Repro_core.Flow.Warm}) instead of solving cold. *)
   | Cache_none  (** No session-cache lookup happened (e.g. [validate]). *)
 
 type meta = {

@@ -102,60 +102,49 @@ let builtin_library_text =
 
 let fl = Json.float_to_string
 
-let key ~spec ~params ~library =
-  let b = Buffer.create 256 in
-  Buffer.add_string b spec.Benchmarks.name;
-  Buffer.add_char b '\x00';
-  Buffer.add_string b
-    (match spec.Benchmarks.family with
-    | Benchmarks.Iscas89 -> "iscas89"
-    | Benchmarks.Ispd09 -> "ispd09");
-  List.iter
-    (fun s ->
-      Buffer.add_char b '\x00';
-      Buffer.add_string b s)
-    [ string_of_int spec.Benchmarks.num_nodes;
+(* The canonical content form: NUL-separated spec fields, then the
+   solver params when given, then the library text.  [key] and
+   [base_key] are its two projections; the digests feed shard choice
+   and the access log, so the field order is fixed. *)
+let content_digest ~spec ?params ~library () =
+  let spec_fields =
+    [ spec.Benchmarks.name;
+      (match spec.Benchmarks.family with
+      | Benchmarks.Iscas89 -> "iscas89"
+      | Benchmarks.Ispd09 -> "ispd09");
+      string_of_int spec.Benchmarks.num_nodes;
       string_of_int spec.Benchmarks.num_leaves;
       fl spec.Benchmarks.die_side;
       string_of_int spec.Benchmarks.clusters;
-      string_of_int spec.Benchmarks.seed;
-      fl params.Context.kappa;
-      fl params.Context.epsilon;
-      string_of_int params.Context.num_slots;
-      fl params.Context.zone_side;
-      string_of_int params.Context.max_labels;
-      fl params.Context.coalesce;
-      string_of_int params.Context.max_interval_classes;
-      fl params.Context.sibling_guard;
-      (match library with
-      | Some text -> text
-      | None -> Lazy.force builtin_library_text) ];
-  Digest.to_hex (Digest.string (Buffer.contents b))
+      string_of_int spec.Benchmarks.seed ]
+  in
+  let param_fields =
+    match params with
+    | None -> []
+    | Some p ->
+      [ fl p.Context.kappa;
+        fl p.Context.epsilon;
+        string_of_int p.Context.num_slots;
+        fl p.Context.zone_side;
+        string_of_int p.Context.max_labels;
+        fl p.Context.coalesce;
+        string_of_int p.Context.max_interval_classes;
+        fl p.Context.sibling_guard ]
+  in
+  let library_text =
+    match library with
+    | Some text -> text
+    | None -> Lazy.force builtin_library_text
+  in
+  String.concat "\x00" (spec_fields @ param_fields @ [ library_text ])
+  |> Digest.string |> Digest.to_hex
+
+let key ~spec ~params ~library = content_digest ~spec ~params ~library ()
 
 (* The warm-start base key deliberately EXCLUDES the solver params: a
    repeat request for the same synthesized tree under a nearby kappa or
    slot count is exactly the near-miss the ECO quench is for. *)
-let base_key ~spec ~library =
-  let b = Buffer.create 128 in
-  Buffer.add_string b spec.Benchmarks.name;
-  Buffer.add_char b '\x00';
-  Buffer.add_string b
-    (match spec.Benchmarks.family with
-    | Benchmarks.Iscas89 -> "iscas89"
-    | Benchmarks.Ispd09 -> "ispd09");
-  List.iter
-    (fun s ->
-      Buffer.add_char b '\x00';
-      Buffer.add_string b s)
-    [ string_of_int spec.Benchmarks.num_nodes;
-      string_of_int spec.Benchmarks.num_leaves;
-      fl spec.Benchmarks.die_side;
-      string_of_int spec.Benchmarks.clusters;
-      string_of_int spec.Benchmarks.seed;
-      (match library with
-      | Some text -> text
-      | None -> Lazy.force builtin_library_text) ];
-  Digest.to_hex (Digest.string (Buffer.contents b))
+let base_key ~spec ~library = content_digest ~spec ~library ()
 
 let warm_hint t ~base =
   match

@@ -109,7 +109,9 @@ let test_report_writer_seam () =
 let flow_never_raises ~spec ~seed =
   with_spec spec (fun () ->
       let tree = small_tree ~seed in
-      match Flow.run_tree_robust ~name:"fault-test" tree Flow.Wavemin with
+      match
+        Flow.run (Flow.prepare ~name:"fault-test" tree) (Flow.Chain Flow.Wavemin)
+      with
       | Ok _ -> true
       | Error (e, degs) ->
         (* Exhausted chain: the last link must record the exhaustion. *)
@@ -146,7 +148,7 @@ let prop_flow_survives_random_faults =
 let test_no_faults_no_degradations () =
   Fault.clear ();
   let tree = small_tree ~seed:5 in
-  match Flow.run_tree_robust ~name:"clean" tree Flow.Wavemin with
+  match Flow.run (Flow.prepare ~name:"clean" tree) (Flow.Chain Flow.Wavemin) with
   | Ok r ->
     Alcotest.(check int) "no degradations" 0 (List.length r.Flow.degradations);
     Alcotest.(check string) "ran the requested algorithm" "ClkWaveMin"
@@ -198,7 +200,9 @@ let test_budget_degrades_flow () =
      does not depend on machine speed. *)
   let tree = small_tree ~seed:3 in
   let budget = Budget.create ~max_labels:1 () in
-  match Flow.run_tree_robust ~budget ~name:"budgeted" tree Flow.Wavemin with
+  match
+    Flow.run ~budget (Flow.prepare ~name:"budgeted" tree) (Flow.Chain Flow.Wavemin)
+  with
   | Error (e, _) ->
     Alcotest.failf "chain must not exhaust: %s" (Verrors.to_string e)
   | Ok r ->
@@ -209,6 +213,75 @@ let test_budget_degrades_flow () =
       (Verrors.code_name first.Flow.error.Verrors.code);
     Alcotest.(check bool) "did not run ClkWaveMin" true
       (r.Flow.algorithm <> Flow.Wavemin)
+
+let prop_label_trip_independent_of_jobs =
+  (* Parallel zone solves replay their label charges in zone order, so
+     which attempt trips, and the count in its message, is the same at
+     every job count. *)
+  let tree = Repro_cts.Benchmarks.(synthesize (find "s15850")) in
+  QCheck.Test.make ~count:6 ~name:"label-budget trip identical at jobs 1/2/4"
+    QCheck.(int_range 1 1500)
+    (fun cap ->
+      let degradations jobs =
+        Repro_par.Par.with_jobs jobs (fun () ->
+            let budget = Budget.create ~max_labels:cap () in
+            let degs =
+              match
+                Flow.run ~budget (Flow.prepare ~name:"jobs" tree)
+                  (Flow.Chain Flow.Wavemin)
+              with
+              | Ok r -> r.Flow.degradations
+              | Error (_, degs) -> degs
+            in
+            List.map
+              (fun (d : Flow.degradation) -> Verrors.to_string d.Flow.error)
+              degs)
+      in
+      let d1 = degradations 1 in
+      d1 = degradations 2 && d1 = degradations 4)
+
+let test_label_trip_sequential_work () =
+  (* At jobs 1 a tripped run does exactly the Warburton work of a plain
+     sequential zone loop: zones past the trip never start.  The
+     expected (solves, rows) pairs are those of the shared-tally loop
+     this replaced. *)
+  let module M = Repro_obs.Metrics in
+  let tree = small_tree ~seed:3 in
+  List.iter
+    (fun (cap, solves, rows) ->
+      M.reset ();
+      let budget = Budget.create ~max_labels:cap () in
+      (match
+         Repro_par.Par.with_jobs 1 (fun () ->
+             Flow.run ~budget (Flow.prepare ~name:"work" tree)
+               (Flow.Single Flow.Wavemin))
+       with
+      | Ok _ -> Alcotest.failf "cap %d must trip" cap
+      | Error (e, _) ->
+        Alcotest.(check string) "tripped" "budget-exhausted"
+          (Verrors.code_name e.Verrors.code));
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "cap %d: solves, rows" cap)
+        (solves, rows)
+        ( M.value (M.counter "warburton.solves"),
+          (M.histogram_stats (M.histogram "warburton.labels_per_row")).M.count
+        ))
+    [ (10, 3, 2); (50, 5, 6); (200, 23, 30) ]
+
+let test_labels_kept_on_task_error () =
+  (* A task failing for another reason still leaves the labels charged
+     before it on the budget. *)
+  let budget = Budget.create ~max_labels:100 () in
+  (match
+     Repro_par.Par.with_jobs 1 (fun () ->
+         Budget.with_current budget (fun () ->
+             Repro_par.Par.parallel_init 4 (fun i ->
+                 Budget.charge_labels_current 10;
+                 if i = 2 then failwith "boom")))
+   with
+  | _ -> Alcotest.fail "task error must propagate"
+  | exception Failure _ -> ());
+  Alcotest.(check int) "labels of tasks 0..2" 30 (Budget.labels_used budget)
 
 (* ---- fuzzing ------------------------------------------------------- *)
 
@@ -308,6 +381,11 @@ let () =
           Alcotest.test_case "invalid limits" `Quick test_budget_invalid_limits;
           Alcotest.test_case "ambient scoping" `Quick test_budget_ambient_scoping;
           Alcotest.test_case "degrades the flow" `Quick test_budget_degrades_flow;
+          QCheck_alcotest.to_alcotest prop_label_trip_independent_of_jobs;
+          Alcotest.test_case "trip work at jobs 1" `Quick
+            test_label_trip_sequential_work;
+          Alcotest.test_case "labels kept on task error" `Quick
+            test_labels_kept_on_task_error;
         ] );
       ( "fuzz",
         Alcotest.test_case "degradations roundtrip" `Quick

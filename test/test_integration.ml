@@ -16,7 +16,10 @@ let params =
 let specs = [ "s13207"; "s15850"; "ispd09f34" ]
 
 let run spec_name algo tree =
-  Flow.run_tree ~params ~name:spec_name tree algo
+  match Flow.run (Flow.prepare ~params ~name:spec_name tree) (Flow.Single algo) with
+  | Ok r -> r
+  | Error (e, _) ->
+    Alcotest.failf "%s: %s" spec_name (Repro_util.Verrors.to_string e)
 
 let test_benchmarks_improve () =
   List.iter

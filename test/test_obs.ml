@@ -382,8 +382,16 @@ let small_tree () =
 let params =
   { Context.default_params with Context.num_slots = 24; max_interval_classes = 6 }
 
+let solve_small () =
+  match
+    Flow.run (Flow.prepare ~params ~name:"obs" (small_tree ()))
+      (Flow.Single Flow.Wavemin)
+  with
+  | Ok r -> r
+  | Error (e, _) -> Alcotest.fail (Repro_util.Verrors.to_string e)
+
 let test_tracing_does_not_change_results () =
-  let run () = Flow.run_tree ~params ~name:"obs" (small_tree ()) Flow.Wavemin in
+  let run = solve_small in
   Trace.set_enabled false;
   Metrics.reset ();
   let plain = run () in
@@ -411,7 +419,7 @@ let test_tracing_does_not_change_results () =
 
 let test_pipeline_metrics_populated () =
   Metrics.reset ();
-  let _ = Flow.run_tree ~params ~name:"obs" (small_tree ()) Flow.Wavemin in
+  let _ = solve_small () in
   let solves = Metrics.value (Metrics.counter "warburton.solves") in
   Alcotest.(check bool) "warburton ran" true (solves > 0);
   let labels = Metrics.histogram "warburton.labels_per_row" in

@@ -30,11 +30,13 @@ let test_minimal_tree_full_flow () =
   let t = minimal_tree () in
   List.iter
     (fun algo ->
-      let r = Flow.run_tree ~name:"minimal" t algo in
-      Alcotest.(check bool)
-        (Flow.algorithm_name algo ^ " works")
-        true
-        (r.Flow.metrics.Golden.peak_current_ma > 0.0))
+      match Flow.run (Flow.prepare ~name:"minimal" t) (Flow.Single algo) with
+      | Ok r ->
+        Alcotest.(check bool)
+          (Flow.algorithm_name algo ^ " works")
+          true
+          (r.Flow.metrics.Golden.peak_current_ma > 0.0)
+      | Error (e, _) -> Alcotest.fail (Repro_util.Verrors.to_string e))
     [ Flow.Initial; Flow.Peakmin; Flow.Wavemin; Flow.Wavemin_fast ]
 
 let test_single_leaf_tree () =
@@ -298,7 +300,24 @@ let test_report_contains_sections () =
   in
   Alcotest.(check bool) "title" true (contains report "# WaveMin report");
   Alcotest.(check bool) "tree section" true (contains report "## Clock tree");
-  Alcotest.(check bool) "results" true (contains report "ClkWaveMin-f")
+  Alcotest.(check bool) "results" true (contains report "ClkWaveMin-f");
+  (* Each row's power columns come from the run's own assignment. *)
+  List.iter
+    (fun algo ->
+      match Flow.run (Flow.prepare ~name:"toy" t) (Flow.Single algo) with
+      | Error (e, _) -> Alcotest.fail (Repro_util.Verrors.to_string e)
+      | Ok r ->
+        let m = r.Flow.metrics in
+        let p = Repro_core.Power.analyze t r.Flow.assignment (Timing.nominal ()) in
+        let row =
+          Printf.sprintf "| %s | %.2f | %.2f | %.2f | %.2f | %d | %.1f | %.1f | "
+            (Flow.algorithm_name algo) m.Golden.peak_current_ma
+            m.Golden.vdd_noise_mv m.Golden.gnd_noise_mv m.Golden.skew_ps
+            r.Flow.num_leaf_inverters p.Repro_core.Power.avg_power_uw
+            p.Repro_core.Power.peak_to_average
+        in
+        Alcotest.(check bool) (row ^ " in report") true (contains report row))
+    [ Flow.Initial; Flow.Wavemin_fast ]
 
 let () =
   Alcotest.run "repro_robustness"

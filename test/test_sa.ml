@@ -264,12 +264,12 @@ let test_warm_matches_cold_and_is_cheaper () =
   Alcotest.(check bool) "cold actually searched" true
     (cold_stats.Clk_sa.proposed > 0)
 
-let test_flow_resolve_warm () =
+let test_flow_run_warm () =
   let prep = Flow.prepare ~params:small_params ~name:"warm-test" (tree ()) in
-  match Flow.run_prepared_robust prep Flow.Sa with
+  match Flow.run prep (Flow.Chain Flow.Sa) with
   | Error _ -> Alcotest.fail "cold sa run failed"
   | Ok cold -> (
-    match Flow.resolve_warm prep ~previous:cold.Flow.assignment with
+    match Flow.run prep (Flow.Warm cold.Flow.assignment) with
     | Error _ -> Alcotest.fail "warm resolve failed"
     | Ok warm ->
       Alcotest.(check string) "algorithm" "ClkSA"
@@ -309,7 +309,7 @@ let test_solver_of_name_unknown () =
 
 let test_portfolio_picks_best () =
   let prep = Flow.prepare ~params:small_params ~name:"portfolio-test" (tree ()) in
-  match Flow.run_prepared_portfolio prep with
+  match Flow.run prep Flow.Portfolio with
   | Error _ -> Alcotest.fail "portfolio failed"
   | Ok run ->
     Alcotest.(check int) "three members" 3 (List.length run.Flow.portfolio);
@@ -336,7 +336,7 @@ let test_portfolio_deterministic () =
         let prep =
           Flow.prepare ~params:small_params ~name:"portfolio-det" (tree ())
         in
-        match Flow.run_prepared_portfolio prep with
+        match Flow.run prep Flow.Portfolio with
         | Error _ -> Alcotest.fail "portfolio failed"
         | Ok run ->
           ( Flow.algorithm_name run.Flow.algorithm,
@@ -375,7 +375,7 @@ let () =
         [
           Alcotest.test_case "matches cold, cheaper" `Quick
             test_warm_matches_cold_and_is_cheaper;
-          Alcotest.test_case "flow resolve_warm" `Quick test_flow_resolve_warm;
+          Alcotest.test_case "flow run warm" `Quick test_flow_run_warm;
         ] );
       ( "portfolio",
         [

@@ -438,6 +438,22 @@ let test_session_per_shard_eviction () =
   Alcotest.(check bool) "oldest same-shard key re-misses" true
     (lookup (List.hd same_shard) = `Miss)
 
+let test_session_key_digests_pinned () =
+  (* Shard choice and the access log's content_key depend on these
+     exact digests; a serializer change must not move them. *)
+  let sp = spec "s15850" in
+  let d = Repro_core.Context.default_params in
+  Alcotest.(check string) "key at default params"
+    "718ad9e0ad781441e42318876712310d"
+    (Session.key ~spec:sp ~params:d ~library:None);
+  Alcotest.(check string) "key at kappa 25"
+    "cf09702972726247ec9d86fedf0d62e7"
+    (Session.key ~spec:sp
+       ~params:{ d with Repro_core.Context.kappa = 25.0 }
+       ~library:None);
+  Alcotest.(check string) "base key" "7ffb8eedf2a07b0703edf3935162a6c4"
+    (Session.base_key ~spec:sp ~library:None)
+
 let test_session_warm_store () =
   (* The warm-start base key excludes the solver params: an assignment
      banked under one kappa is served as the hint for a nearby kappa,
@@ -1496,6 +1512,8 @@ let () =
             test_session_shard_distribution;
           Alcotest.test_case "per-shard eviction" `Quick
             test_session_per_shard_eviction;
+          Alcotest.test_case "key digests pinned" `Quick
+            test_session_key_digests_pinned;
           Alcotest.test_case "warm-start store" `Quick
             test_session_warm_store;
           Alcotest.test_case "warm-start run" `Quick

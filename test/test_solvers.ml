@@ -216,12 +216,80 @@ let test_mosp_encoding_structure () =
 
 let test_flow_run_tree () =
   let t = tree () in
-  let r = Flow.run_tree ~params:small_params ~name:"toy" t Flow.Wavemin_fast in
+  let r =
+    match
+      Flow.run (Flow.prepare ~params:small_params ~name:"toy" t)
+        (Flow.Single Flow.Wavemin_fast)
+    with
+    | Ok r -> r
+    | Error (e, _) -> Alcotest.fail (Repro_util.Verrors.to_string e)
+  in
   Alcotest.(check string) "name" "toy" r.Flow.benchmark;
   Alcotest.(check bool) "skew bound" true
     (r.Flow.metrics.Golden.skew_ps <= small_params.Context.kappa +. 1e-6);
   Alcotest.(check bool) "positive metrics" true
     (r.Flow.metrics.Golden.peak_current_ma > 0.0)
+
+let context_creates f =
+  Repro_obs.Trace.reset ();
+  Repro_obs.Trace.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Repro_obs.Trace.set_enabled false)
+    (fun () ->
+      f ();
+      List.length
+        (List.filter
+           (fun s -> s.Repro_obs.Trace.name = "context.create")
+           (Repro_obs.Trace.spans ())))
+
+let test_flow_context_built_once () =
+  (* Concurrent runs of different solvers on one prepared design share
+     a single context build.  The tree is big enough that a build spans
+     a thread switch, so an unguarded memo would build more than once. *)
+  let prep =
+    Flow.prepare ~params:small_params ~name:"once"
+      (tree ~leaves:160 ~internals:16 ())
+  in
+  let algorithms =
+    List.concat_map
+      (fun alg -> [ alg; alg ])
+      [ Flow.Peakmin; Flow.Wavemin; Flow.Wavemin_fast; Flow.Sa ]
+  in
+  let results = Array.make (List.length algorithms) None in
+  let creates =
+    context_creates (fun () ->
+        List.mapi
+          (fun i alg ->
+            Thread.create
+              (fun () -> results.(i) <- Some (Flow.run prep (Flow.Single alg)))
+              ())
+          algorithms
+        |> List.iter Thread.join)
+  in
+  Array.iter
+    (function
+      | Some (Ok _) -> ()
+      | Some (Error (e, _)) -> Alcotest.fail (Repro_util.Verrors.to_string e)
+      | None -> Alcotest.fail "thread did not finish")
+    results;
+  Alcotest.(check int) "one context.create" 1 creates
+
+let test_flow_failed_context_not_memoized () =
+  let prep = Flow.prepare ~params:small_params ~name:"retry" (tree ()) in
+  let run () = Flow.run prep (Flow.Single Flow.Wavemin_fast) in
+  let creates =
+    context_creates (fun () ->
+        (match Repro_obs.Fault.set_spec "noise-table:1" with
+        | Error msg -> Alcotest.fail msg
+        | Ok () -> ());
+        let faulted =
+          Fun.protect ~finally:Repro_obs.Fault.clear (fun () -> run ())
+        in
+        Alcotest.(check bool) "faulted build fails" true (Result.is_error faulted);
+        Alcotest.(check bool) "next run retries" true (Result.is_ok (run ()));
+        Alcotest.(check bool) "then reuses" true (Result.is_ok (run ())))
+  in
+  Alcotest.(check int) "failed build + one successful build" 2 creates
 
 let test_flow_improvement_pct () =
   Alcotest.(check (float 1e-9)) "pos" 50.0
@@ -290,6 +358,10 @@ let () =
       ( "flow",
         [
           Alcotest.test_case "run tree" `Quick test_flow_run_tree;
+          Alcotest.test_case "context built once" `Quick
+            test_flow_context_built_once;
+          Alcotest.test_case "failed context not memoized" `Quick
+            test_flow_failed_context_not_memoized;
           Alcotest.test_case "improvement pct" `Quick test_flow_improvement_pct;
           Alcotest.test_case "names" `Quick test_flow_names;
         ] );
