@@ -13,20 +13,8 @@ module Flow := Repro_core.Flow
 
 val degradation_json : Flow.degradation -> Json.t
 
-type cache_outcome =
-  | Cache_hit
-  | Cache_miss
-  | Cache_coalesced
-      (** Answered from another request's in-flight solve (single-flight
-          follower); set by the server, never by {!execute}. *)
-  | Cache_warm
-      (** A warm-opted [Sa] run found a banked assignment for the same
-          tree and library and re-solved by annealer quench
-          ({!Repro_core.Flow.Warm}) instead of solving cold. *)
-  | Cache_none  (** No session-cache lookup happened (e.g. [validate]). *)
-
 type meta = {
-  mutable cache : cache_outcome;
+  mutable cache : Session.cache_outcome;
   mutable content_key : string option;  (** {!Session.key} hex digest. *)
 }
 (** Out-of-band execution facts recorded for the access log.  Strictly
@@ -35,7 +23,6 @@ type meta = {
     with or without one attached. *)
 
 val create_meta : unit -> meta
-val cache_outcome_name : cache_outcome -> string
 
 val execute :
   ?meta:meta ->

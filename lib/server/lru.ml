@@ -10,17 +10,14 @@ type 'a t = {
   table : (string, 'a node) Hashtbl.t;
   mutable head : 'a node option;  (* MRU *)
   mutable tail : 'a node option;  (* LRU *)
-  mutable evicted : int;
 }
 
 let create ~capacity =
   if capacity < 1 then invalid_arg "Lru.create: capacity must be >= 1";
-  { cap = capacity; table = Hashtbl.create 16; head = None; tail = None;
-    evicted = 0 }
+  { cap = capacity; table = Hashtbl.create 16; head = None; tail = None }
 
 let capacity t = t.cap
 let length t = Hashtbl.length t.table
-let evictions t = t.evicted
 let mem t key = Hashtbl.mem t.table key
 
 let unlink t n =
@@ -72,7 +69,6 @@ let add t key value =
       | Some lru ->
         unlink t lru;
         Hashtbl.remove t.table lru.key;
-        t.evicted <- t.evicted + 1;
         Some lru.key
     end
 

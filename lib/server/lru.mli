@@ -29,6 +29,3 @@ val remove : 'a t -> string -> unit
 
 val keys : 'a t -> string list
 (** Most-recently-used first — the inverse of eviction order. *)
-
-val evictions : 'a t -> int
-(** Total entries evicted (not removed) since {!create}. *)

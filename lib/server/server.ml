@@ -32,6 +32,18 @@ let in_flight_g = Metrics.gauge "server.in_flight"
 let latency_h = Metrics.histogram "server.latency_ms"
 let queue_wait_h = Metrics.histogram "server.queue_wait_ms"
 
+(* The status table: each way a data-plane request can end, as its
+   access-log [status], its [stats] key, its drain-report key and its
+   counter ([ok] has none of its own: admissions are [server.requests]).
+   The per-server tallies, one per row and bumped only by [finish], feed
+   [stats], the drain report and the drain log line. *)
+let statuses =
+  [| ("ok", "served", "requests_served", None);
+     ("rejected", "rejected", "requests_rejected", Some rejected_c);
+     ("error", "errors", "request_errors", Some errors_c);
+     ("expired", "expired", "requests_expired", Some expired_c);
+     ("abandoned", "abandoned", "requests_abandoned", Some abandoned_c) |]
+
 (* ---- addresses ---------------------------------------------------- *)
 
 type address = Unix_path of string | Tcp of { host : string; port : int }
@@ -122,6 +134,39 @@ type item = {
   enqueued_ns : int64;
 }
 
+(* How a data-plane request ended.  [Answered] carries a solve outcome,
+   the leader's own or shared with a coalesced follower; no other
+   ending executed anything. *)
+type status =
+  | Answered of (Json.t, Verrors.t * Repro_core.Flow.degradation list) result
+  | Invalid of Verrors.t  (* unparseable request line *)
+  | Rejected of Verrors.t  (* queue full, draining, or an abusive peer *)
+  | Expired of Verrors.t  (* past its deadline before it ran *)
+  | Abandoned  (* client gone before it ran: nobody left to answer *)
+
+let status_row = function
+  | Answered (Ok _) -> 0
+  | Rejected _ -> 1
+  | Answered (Error _) | Invalid _ -> 2
+  | Expired _ -> 3
+  | Abandoned -> 4
+
+(* The one record of a finished request.  The tallies, histograms and
+   rolling windows, [last], the access-log line, the black-box dump and
+   the response line are all projections of it, written by [finish]. *)
+type outcome = {
+  rid : string;  (* server-assigned request/trace id *)
+  id : Json.t;  (* the client's id, echoed *)
+  conn : conn;
+  kind : string;
+  benchmark : string;
+  status : status;
+  cache : Session.cache_outcome;
+  content_key : string option;
+  queue_wait_ms : float;
+  wall_ms : float;
+}
+
 (* One executor worker: a thread popping the shared bounded queue, with
    its own Chrome-trace lane and per-worker counters.  [ex_busy_ns] has
    a single writer (the worker itself); [ex_rid] is the request id being
@@ -156,19 +201,14 @@ type t = {
   next_rid : int Atomic.t;
   started_s : float;
   started_cpu_s : float;
-  served : int Atomic.t;
-  rejected : int Atomic.t;
-  failed : int Atomic.t;
-  expired : int Atomic.t;  (* shed past their deadline, never executed *)
-  abandoned : int Atomic.t;  (* client gone before execution, skipped *)
+  tallies : int Atomic.t array;  (* one per [statuses] row *)
   stalls : int Atomic.t;  (* watchdog stall episodes *)
   in_flight : int Atomic.t;
   rolling_latency : Rolling.t;  (* total ms, enqueue to response written *)
   rolling_queue_wait : Rolling.t;  (* ms *)
   access : Access_log.t option;
   overload_dumped : bool Atomic.t;  (* one black-box dump per overload episode *)
-  last_mutex : Mutex.t;
-  mutable last : Json.t;  (* last completed data-plane request, or Null *)
+  last : Json.t Atomic.t;  (* last completed data-plane request, or Null *)
   mutable sampler : Runtime.sampler option;
   mutable pool_prev : (float * int) option;  (* sampler-thread only *)
   mutable acceptor : Thread.t option;
@@ -176,11 +216,17 @@ type t = {
   mutable watchdog : Thread.t option;
 }
 
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+let with_lock = Mutex.protect
 
 let draining t = not (Atomic.get t.accepting)
+
+(* (key, tally) per status row, named by [stats] or by the drain report. *)
+let tallies t ~report =
+  Array.to_list
+    (Array.mapi
+       (fun i (_, stats_key, report_key, _) ->
+         ((if report then report_key else stats_key), Atomic.get t.tallies.(i)))
+       statuses)
 
 let initiate_drain t =
   if Atomic.compare_and_set t.accepting true false then begin
@@ -204,8 +250,7 @@ let write_all fd s =
    control-plane responses from the reader thread never interleave
    mid-line.  A failed write marks the connection dead and shuts it
    down, waking the reader. *)
-let write_json t conn json =
-  ignore t;
+let write_json conn json =
   with_lock conn.wmutex (fun () ->
       if conn.open_ then
         try
@@ -250,72 +295,66 @@ let histogram_json h =
       [ ("p50", Json.Num (Metrics.quantile h 0.5));
         ("p90", Json.Num (Metrics.quantile h 0.9)) ])
 
+let busy_frac ~uptime_s ex =
+  if uptime_s <= 0.0 then 0.0
+  else
+    Float.min 1.0 (float_of_int (Atomic.get ex.ex_busy_ns) /. (uptime_s *. 1e9))
+
 (* Per-executor state for [stats] / `wavemin top`: lifetime busy
    fraction, responses written (followers included), and the request id
    currently executing (null when idle). *)
 let executor_json ~uptime_s ex =
-  let busy_frac =
-    if uptime_s <= 0.0 then 0.0
-    else
-      Float.max 0.0
-        (Float.min 1.0
-           (float_of_int (Atomic.get ex.ex_busy_ns) /. (uptime_s *. 1e9)))
-  in
   Json.Obj
     [ ("id", Json.Num (float_of_int ex.ex_id));
       ("requests", Json.Num (float_of_int (Atomic.get ex.ex_requests)));
-      ("busy_frac", Json.Num busy_frac);
+      ("busy_frac", Json.Num (busy_frac ~uptime_s ex));
       ( "rid",
         match Atomic.get ex.ex_rid with "" -> Json.Null | r -> Json.Str r ) ]
 
 let stats_json t =
   let cache = Session.stats t.session in
   let uptime_s = Clock.now_s () -. t.started_s in
+  let num n = Json.Num (float_of_int n) in
   Json.Obj
-    [ ("status", Json.Str (if draining t then "draining" else "serving"));
-      ("uptime_s", Json.Num uptime_s);
-      ("served", Json.Num (float_of_int (Atomic.get t.served)));
-      ("rejected", Json.Num (float_of_int (Atomic.get t.rejected)));
-      ("errors", Json.Num (float_of_int (Atomic.get t.failed)));
-      ("expired", Json.Num (float_of_int (Atomic.get t.expired)));
-      ("abandoned", Json.Num (float_of_int (Atomic.get t.abandoned)));
-      ("stalled", Json.Num (float_of_int (Atomic.get t.stalls)));
-      ("coalesced", Json.Num (float_of_int (Atomic.get t.coalesced)));
-      ("in_flight", Json.Num (float_of_int (Atomic.get t.in_flight)));
-      ("jobs", Json.Num (float_of_int (Par.jobs ())));
-      ( "executors",
-        Json.List
-          (Array.to_list (Array.map (executor_json ~uptime_s) t.executors)) );
-      ( "queue",
-        Json.Obj
-          [ ("depth", Json.Num (float_of_int (Bqueue.length t.queue)));
-            ("capacity", Json.Num (float_of_int (Bqueue.capacity t.queue))) ] );
-      ( "cache",
-        Json.Obj
-          [ ("entries", Json.Num (float_of_int (List.length cache.Session.entries)));
-            ("capacity", Json.Num (float_of_int cache.Session.capacity));
-            ("shards", Json.Num (float_of_int cache.Session.shards));
-            ("hits", Json.Num (float_of_int cache.Session.hits));
-            ("misses", Json.Num (float_of_int cache.Session.misses));
-            ("evictions", Json.Num (float_of_int cache.Session.evictions));
-            ( "warm",
-              Json.Obj
-                [ ( "entries",
-                    Json.Num (float_of_int cache.Session.warm_entries) );
-                  ("hits", Json.Num (float_of_int cache.Session.warm_hits));
-                  ( "stores",
-                    Json.Num (float_of_int cache.Session.warm_stores) ) ] );
-            ( "keys",
-              Json.List (List.map (fun k -> Json.Str k) cache.Session.entries) ) ] );
-      ("latency_ms", histogram_json latency_h);
-      ( "rolling",
-        Json.Obj
-          [ ( "window_s",
-              Json.Num (Rolling.window_seconds t.rolling_latency) );
-            ("latency_ms", Rolling.stats_json (Rolling.stats t.rolling_latency));
-            ( "queue_wait_ms",
-              Rolling.stats_json (Rolling.stats t.rolling_queue_wait) ) ] );
-      ("last", with_lock t.last_mutex (fun () -> t.last)) ]
+    ([ ("status", Json.Str (if draining t then "draining" else "serving"));
+       ("uptime_s", Json.Num uptime_s) ]
+    @ List.map (fun (k, n) -> (k, num n)) (tallies t ~report:false)
+    @ [ ("stalled", num (Atomic.get t.stalls));
+        ("coalesced", num (Atomic.get t.coalesced));
+        ("in_flight", num (Atomic.get t.in_flight));
+        ("jobs", num (Par.jobs ()));
+        ( "executors",
+          Json.List
+            (Array.to_list (Array.map (executor_json ~uptime_s) t.executors)) );
+        ( "queue",
+          Json.Obj
+            [ ("depth", num (Bqueue.length t.queue));
+              ("capacity", num (Bqueue.capacity t.queue)) ] );
+        ( "cache",
+          Json.Obj
+            [ ("entries", num (List.length cache.Session.entries));
+              ("capacity", num cache.Session.capacity);
+              ("shards", num cache.Session.shards);
+              ("hits", num cache.Session.hits);
+              ("misses", num cache.Session.misses);
+              ("evictions", num cache.Session.evictions);
+              ( "warm",
+                Json.Obj
+                  [ ("entries", num cache.Session.warm_entries);
+                    ("hits", num cache.Session.warm_hits);
+                    ("stores", num cache.Session.warm_stores) ] );
+              ( "keys",
+                Json.List (List.map (fun k -> Json.Str k) cache.Session.entries)
+              ) ] );
+        ("latency_ms", histogram_json latency_h);
+        ( "rolling",
+          Json.Obj
+            [ ("window_s", Json.Num (Rolling.window_seconds t.rolling_latency));
+              ( "latency_ms",
+                Rolling.stats_json (Rolling.stats t.rolling_latency) );
+              ( "queue_wait_ms",
+                Rolling.stats_json (Rolling.stats t.rolling_queue_wait) ) ] );
+        ("last", Atomic.get t.last) ])
 
 let metrics_json fmt =
   match fmt with
@@ -327,50 +366,20 @@ let metrics_json fmt =
     Json.Obj [ ("format", Json.Str "json"); ("metrics", Metrics.to_json ()) ]
 
 let handle_control t conn id = function
-  | P.Health -> write_json t conn (P.ok_response ~id (health_json t))
-  | P.Stats -> write_json t conn (P.ok_response ~id (stats_json t))
-  | P.Metrics fmt -> write_json t conn (P.ok_response ~id (metrics_json fmt))
+  | P.Health -> write_json conn (P.ok_response ~id (health_json t))
+  | P.Stats -> write_json conn (P.ok_response ~id (stats_json t))
+  | P.Metrics fmt -> write_json conn (P.ok_response ~id (metrics_json fmt))
   | P.Flight ->
     (* Live snapshot of the flight ring — same document the black-box
        dump files carry, so `wavemin explain` renders both. *)
-    write_json t conn (P.ok_response ~id (Repro_obs.Flight.to_json ()))
+    write_json conn (P.ok_response ~id (Repro_obs.Flight.to_json ()))
   | P.Shutdown ->
     (* Drain first, ack second: once the client reads the ack,
        [draining] is observably true. *)
     initiate_drain t;
-    write_json t conn
+    write_json conn
       (P.ok_response ~id (Json.Obj [ ("draining", Json.Bool true) ]))
   | P.Run _ | P.Compare _ | P.Validate _ | P.Montecarlo _ -> assert false
-
-(* ---- access log ---------------------------------------------------- *)
-
-(* One JSONL line per data-plane request (rejections and parse failures
-   included) — the replayable record of a request's journey.  Strictly
-   out-of-band: written after the response bytes are determined, never
-   read back by anything on the request path. *)
-let access_entry ~rid ~id ~cid ~kind ~benchmark ~status ?code
-    ?(cache = Handlers.Cache_none) ?content_key ?(degradations = [])
-    ?(queue_wait_ms = 0.0) ?(wall_ms = 0.0) () =
-  Json.Obj
-    ([ ("ts", Json.Num (Unix.gettimeofday ()));
-       ("rid", Json.Str rid);
-       ("id", id);
-       ("conn", Json.Num (float_of_int cid));
-       ("type", Json.Str kind);
-       ("benchmark", Json.Str benchmark);
-       ("status", Json.Str status) ]
-    @ (match code with None -> [] | Some c -> [ ("code", Json.Str c) ])
-    @ [ ("cache", Json.Str (Handlers.cache_outcome_name cache));
-        ( "content_hash",
-          match content_key with None -> Json.Null | Some k -> Json.Str k );
-        ( "degradations",
-          Json.List (List.map (fun c -> Json.Str c) degradations) );
-        ("queue_wait_ms", Json.Num queue_wait_ms);
-        ("wall_ms", Json.Num wall_ms);
-        ("total_ms", Json.Num (queue_wait_ms +. wall_ms)) ])
-
-let log_access t entry =
-  match t.access with None -> () | Some a -> Access_log.write a entry
 
 let benchmark_of = function
   | P.Run { opts; _ } | P.Compare opts | P.Montecarlo { opts; _ } ->
@@ -397,20 +406,124 @@ let dump_flight t ~rid ~why =
 
 let fresh_rid t = Printf.sprintf "r%06d" (Atomic.fetch_and_add t.next_rid 1)
 
+(* ---- request outcomes ---------------------------------------------- *)
+
+let ended ~rid ~id conn ~kind ~benchmark status =
+  { rid; id; conn; kind; benchmark; status; cache = Session.No_lookup;
+    content_key = None; queue_wait_ms = 0.0; wall_ms = 0.0 }
+
+let item_ended item status =
+  ended ~rid:item.item_rid ~id:item.item_id item.item_conn
+    ~kind:(P.request_kind item.item_req)
+    ~benchmark:(benchmark_of item.item_req) status
+
+(* One JSONL line per data-plane request (rejections and parse failures
+   included) — the replayable record of a request's journey.  Strictly
+   out-of-band: never read back by anything on the request path. *)
+let access_fields o =
+  let status, _, _, _ = statuses.(status_row o.status) in
+  [ ("ts", Json.Num (Unix.gettimeofday ()));
+    ("rid", Json.Str o.rid);
+    ("id", o.id);
+    ("conn", Json.Num (float_of_int o.conn.cid));
+    ("type", Json.Str o.kind);
+    ("benchmark", Json.Str o.benchmark);
+    ("status", Json.Str status) ]
+  @ (match o.status with
+    | Answered (Ok _) | Abandoned -> []
+    | Answered (Error (e, _)) | Invalid e | Rejected e | Expired e ->
+      [ ("code", Json.Str (Verrors.code_name e.Verrors.code)) ])
+  @ [ ("cache", Json.Str (Session.cache_outcome_name o.cache));
+      ( "content_hash",
+        match o.content_key with None -> Json.Null | Some k -> Json.Str k );
+      ( "degradations",
+        Json.List
+          (match o.status with
+          | Answered (Error (_, degs)) ->
+            List.map
+              (fun (d : Repro_core.Flow.degradation) ->
+                Json.Str (Verrors.code_name d.error.Verrors.code))
+              degs
+          | _ -> []) );
+      ("queue_wait_ms", Json.Num o.queue_wait_ms);
+      ("wall_ms", Json.Num o.wall_ms);
+      ("total_ms", Json.Num (o.queue_wait_ms +. o.wall_ms)) ]
+
+(* The [last] block of [stats] projects the same fields, for
+   `wavemin client --time` to correlate by id. *)
+let last_keys =
+  [ "id"; "rid"; "type"; "benchmark"; "status"; "cache"; "queue_wait_ms";
+    "wall_ms" ]
+
+let response o =
+  match o.status with
+  | Answered (Ok body) -> Some (P.ok_response ~id:o.id body)
+  | Answered (Error (e, degs)) ->
+    Some
+      (P.error_response ~id:o.id
+         ~degradations:(List.map Handlers.degradation_json degs)
+         e)
+  | Invalid e | Rejected e | Expired e -> Some (P.error_response ~id:o.id e)
+  | Abandoned -> None
+
+(* The only bookkeeping a request outcome gets, all of it done before
+   the response line leaves: a client that has its answer sees itself
+   in [stats] (and in [last]).  Executed requests feed the latency
+   windows and [last]; a leader that failed or degraded leaves a
+   black-box dump (followers share the very same solve). *)
+let finish t o =
+  let row = status_row o.status in
+  let _, _, _, counter = statuses.(row) in
+  Atomic.incr t.tallies.(row);
+  Option.iter Metrics.incr counter;
+  if o.cache = Session.Coalesced then begin
+    Atomic.incr t.coalesced;
+    Metrics.incr coalesced_c
+  end;
+  let fields = access_fields o in
+  (match o.status with
+  | Answered _ ->
+    let total_ms = o.queue_wait_ms +. o.wall_ms in
+    Metrics.observe latency_h total_ms;
+    Rolling.observe t.rolling_latency total_ms;
+    Metrics.observe queue_wait_h o.queue_wait_ms;
+    Rolling.observe t.rolling_queue_wait o.queue_wait_ms;
+    Atomic.set t.last
+      (Json.Obj (List.map (fun k -> (k, List.assoc k fields)) last_keys))
+  | Expired _ ->
+    Flight.record
+      (Flight.Note
+         { name = "request-expired";
+           attrs =
+             [ ("rid", o.rid); ("type", o.kind);
+               ("queued_ms", Printf.sprintf "%.0f" o.queue_wait_ms) ] })
+  | Invalid _ | Rejected _ | Abandoned -> ());
+  Option.iter (fun a -> Access_log.write a (Json.Obj fields)) t.access;
+  (if o.cache <> Session.Coalesced then
+     match o.status with
+     | Answered (Error (e, _)) ->
+       Log.warn (fun m ->
+           m "%s %s failed: %s" o.kind o.benchmark
+             (Verrors.code_name e.Verrors.code));
+       dump_flight t ~rid:o.rid ~why:"faulted request"
+     | Answered (Ok body) -> (
+       match Json.member "degradations" body with
+       | Some (Json.List (_ :: _)) ->
+         dump_flight t ~rid:o.rid ~why:"degraded request"
+       | _ -> ())
+     | _ -> ());
+  Option.iter (write_json o.conn) (response o)
+
 (* ---- data plane: admission ---------------------------------------- *)
 
-let reject ?(overload = false) t conn ~rid id req err =
-  Atomic.incr t.rejected;
-  Metrics.incr rejected_c;
-  write_json t conn (P.error_response ~id err);
-  log_access t
-    (access_entry ~rid ~id ~cid:conn.cid ~kind:(P.request_kind req)
-       ~benchmark:(benchmark_of req) ~status:"rejected"
-       ~code:(Verrors.code_name err.Verrors.code) ());
-  (* One dump per overload episode: a flood would otherwise write one
-     file per shed request; the flag re-arms when admission succeeds. *)
-  if overload && Atomic.compare_and_set t.overload_dumped false true then
-    dump_flight t ~rid ~why:"overloaded"
+let reject t conn ~rid id req err =
+  finish t
+    (ended ~rid ~id conn ~kind:(P.request_kind req)
+       ~benchmark:(benchmark_of req) (Rejected err))
+
+let draining_error req =
+  overloaded_error ~stage:"server.queue" ~subject:(P.request_kind req)
+    "server is draining: no new work is accepted" ~hints:[]
 
 (* Single-flight admission, decided on the reader thread: the first
    arrival for a content key takes a queue slot and becomes the leader;
@@ -437,31 +550,28 @@ let admit t conn ~rid ~deadline_ns id req =
      item the reader has not yet counted. *)
   Atomic.incr conn.pending;
   match Sflight.admit t.sflight ~key item ~enqueue with
-  | `Led () ->
+  | (`Led () | `Joined) as admitted ->
     Atomic.set t.overload_dumped false;
     Metrics.incr requests_c;
-    Metrics.set queue_depth_g (float_of_int (Bqueue.length t.queue))
-  | `Joined ->
-    Atomic.set t.overload_dumped false;
-    Metrics.incr requests_c;
-    Atomic.incr t.coalesced;
-    Metrics.incr coalesced_c;
-    Flight.record
-      (Flight.Cache { cache = "single-flight"; outcome = "coalesced"; key })
+    Metrics.set queue_depth_g (float_of_int (Bqueue.length t.queue));
+    if admitted = `Joined then
+      Session.record t.session Session.Single_flight Session.Coalesced ~key
   | `Refused `Full ->
     Atomic.decr conn.pending;
-    reject ~overload:true t conn ~rid id req
+    reject t conn ~rid id req
       (overloaded_error ~stage:"server.queue" ~subject:(P.request_kind req)
          (Printf.sprintf "request queue full (%d/%d): request rejected"
             (Bqueue.capacity t.queue) (Bqueue.capacity t.queue))
          ~hints:
            [ "retry with backoff";
-             "raise the bound with `wavemin serve --queue N'" ])
+             "raise the bound with `wavemin serve --queue N'" ]);
+    (* One dump per overload episode: a flood would otherwise write one
+       file per shed request; the flag re-arms when admission succeeds. *)
+    if Atomic.compare_and_set t.overload_dumped false true then
+      dump_flight t ~rid ~why:"overloaded"
   | `Refused `Closed ->
     Atomic.decr conn.pending;
-    reject t conn ~rid id req
-      (overloaded_error ~stage:"server.queue" ~subject:(P.request_kind req)
-         "server is draining: no new work is accepted" ~hints:[])
+    reject t conn ~rid id req (draining_error req)
 
 let handle_line t conn line =
   let { P.id; deadline_ms; payload } = P.parse_request line in
@@ -474,21 +584,14 @@ let handle_line t conn line =
   in
   match payload with
   | Error e ->
-    Atomic.incr t.failed;
-    Metrics.incr errors_c;
-    write_json t conn (P.error_response ~id e);
-    log_access t
-      (access_entry ~rid:(fresh_rid t) ~id ~cid:conn.cid ~kind:"invalid"
-         ~benchmark:"" ~status:"error" ~code:(Verrors.code_name e.Verrors.code)
-         ())
+    finish t
+      (ended ~rid:(fresh_rid t) ~id conn ~kind:"invalid" ~benchmark:""
+         (Invalid e))
   | Ok req ->
     if P.is_control req then handle_control t conn id req
     else
       let rid = fresh_rid t in
-      if draining t then
-        reject t conn ~rid id req
-          (overloaded_error ~stage:"server.queue" ~subject:(P.request_kind req)
-             "server is draining: no new work is accepted" ~hints:[])
+      if draining t then reject t conn ~rid id req (draining_error req)
       else admit t conn ~rid ~deadline_ns id req
 
 (* ---- connections -------------------------------------------------- *)
@@ -499,13 +602,10 @@ let unregister t cid = with_lock t.conns_mutex (fun () -> Hashtbl.remove t.conns
    slowloris dribble): one error line on the wire, one access-log entry,
    then the caller closes the connection.  The peer may never read the
    response — that is its problem, not a parked reader thread's. *)
-let reject_peer t conn ~kind ~code err =
-  Atomic.incr t.failed;
-  Metrics.incr errors_c;
-  write_json t conn (P.error_response ~id:Json.Null err);
-  log_access t
-    (access_entry ~rid:(fresh_rid t) ~id:Json.Null ~cid:conn.cid ~kind
-       ~benchmark:"" ~status:"rejected" ~code ())
+let reject_peer t conn ~kind err =
+  finish t
+    (ended ~rid:(fresh_rid t) ~id:Json.Null conn ~kind ~benchmark:""
+       (Rejected err))
 
 (* The connection reader: a bounded buffer fed by [Unix.read] under a
    [select] poll — never an unbounded [Buffer], never a read the drain
@@ -596,7 +696,7 @@ let conn_loop t conn =
   loop ();
   (match !state with
   | `Oversized ->
-    reject_peer t conn ~kind:"oversized" ~code:"parse-error"
+    reject_peer t conn ~kind:"oversized"
       (Verrors.make ~code:Verrors.Parse_error ~stage:"server.read"
          ~subject:"request-line"
          (Printf.sprintf
@@ -604,7 +704,7 @@ let conn_loop t conn =
          ~hints:[ "split work into separate requests";
                   "raise the cap with `wavemin serve --max-line BYTES'" ])
   | `Timed_out ->
-    reject_peer t conn ~kind:"idle" ~code:"io-error"
+    reject_peer t conn ~kind:"idle"
       (Verrors.make ~code:Verrors.Io_error ~stage:"server.read"
          ~subject:"idle-timeout"
          (Printf.sprintf
@@ -659,85 +759,32 @@ let accept_loop t =
 
 (* ---- executors ---------------------------------------------------- *)
 
-let outcome_row = function
-  | Ok _ -> ("ok", None, [])
-  | Error (e, degs) ->
-    ( "error",
-      Some (Verrors.code_name e.Verrors.code),
-      List.map
-        (fun d -> Verrors.code_name d.Repro_core.Flow.error.Verrors.code)
-        degs )
-
-(* The [last] correlation block published before a response's bytes
-   leave, so a client that got its answer can immediately look itself
-   up via [stats] (`wavemin client --time`). *)
-let publish_last t ~id ~rid ~kind ~benchmark ~status ~cache ~queue_wait_ms
-    ~wall_ms =
-  let last =
-    Json.Obj
-      [ ("id", id);
-        ("rid", Json.Str rid);
-        ("type", Json.Str kind);
-        ("benchmark", Json.Str benchmark);
-        ("status", Json.Str status);
-        ("cache", Json.Str (Handlers.cache_outcome_name cache));
-        ("queue_wait_ms", Json.Num queue_wait_ms);
-        ("wall_ms", Json.Num wall_ms) ]
-  in
-  with_lock t.last_mutex (fun () -> t.last <- last)
-
 (* The admitted item's response (or shed error) is on the wire — or its
    client is gone.  Either way its connection is owed one response
    fewer, re-arming the reader's idle guard once nothing is pending. *)
 let settle item = Atomic.decr item.item_conn.pending
 
 (* Answer one coalesced follower with the leader's (deterministic)
-   outcome under the follower's own request id.  Telemetry mirrors a
-   normal request: an access-log line with [cache = "coalesced"] and
-   the shared content hash, latency observations, and a retroactive
-   [server.coalesced] span covering the follower's whole wait on the
-   leader's executor lane. *)
-let respond_follower t ex ~leader_rid ~outcome ~(meta : Handlers.meta)
-    ~exec_started_s f =
-  let kind = P.request_kind f.item_req in
-  let benchmark = benchmark_of f.item_req in
-  let rid = f.item_rid in
+   result under the follower's own request id, with a retroactive
+   [server.coalesced] span covering its whole wait on the leader's
+   executor lane. *)
+let respond_follower t ex ~leader_rid ~result ~content_key ~exec_started_s f =
+  let o = item_ended f (Answered result) in
   let queue_wait_ms =
     Float.max 0.0 ((exec_started_s -. f.enqueued_s) *. 1000.0)
   in
   let total_ms = Float.max 0.0 ((Clock.now_s () -. f.enqueued_s) *. 1000.0) in
-  let wall_ms = Float.max 0.0 (total_ms -. queue_wait_ms) in
-  let status, code, degradations = outcome_row outcome in
   Trace.record ~name:"server.coalesced"
     ~attrs:
-      [ ("request_id", rid); ("leader_rid", leader_rid); ("type", kind);
-        ("benchmark", benchmark) ]
+      [ ("request_id", o.rid); ("leader_rid", leader_rid); ("type", o.kind);
+        ("benchmark", o.benchmark) ]
     ~tid:ex.ex_tid ~start_ns:f.enqueued_ns
     ~dur_ns:(Int64.sub (Clock.now_ns ()) f.enqueued_ns)
     ();
-  publish_last t ~id:f.item_id ~rid ~kind ~benchmark ~status
-    ~cache:Handlers.Cache_coalesced ~queue_wait_ms ~wall_ms;
-  log_access t
-    (access_entry ~rid ~id:f.item_id ~cid:f.item_conn.cid ~kind ~benchmark
-       ~status ?code ~cache:Handlers.Cache_coalesced
-       ?content_key:meta.Handlers.content_key ~degradations ~queue_wait_ms
-       ~wall_ms ());
-  (match outcome with
-  | Ok result ->
-    Atomic.incr t.served;
-    write_json t f.item_conn (P.ok_response ~id:f.item_id result)
-  | Error (e, degs) ->
-    Atomic.incr t.failed;
-    Metrics.incr errors_c;
-    write_json t f.item_conn
-      (P.error_response ~id:f.item_id
-         ~degradations:(List.map Handlers.degradation_json degs)
-         e));
-  settle f;
-  Metrics.observe latency_h total_ms;
-  Rolling.observe t.rolling_latency total_ms;
-  Metrics.observe queue_wait_h queue_wait_ms;
-  Rolling.observe t.rolling_queue_wait queue_wait_ms
+  finish t
+    { o with cache = Session.Coalesced; content_key; queue_wait_ms;
+      wall_ms = Float.max 0.0 (total_ms -. queue_wait_ms) };
+  settle f
 
 let opts_of = function
   | P.Run { opts; _ } | P.Compare opts | P.Validate { opts; _ }
@@ -790,91 +837,51 @@ let process ?claimed t ex item =
   Atomic.set ex.ex_stall_ns (stall_limit_ns t item ~now:(Clock.now_ns ()));
   let started_s = Clock.now_s () in
   let queue_wait_ms = (started_s -. item.enqueued_s) *. 1000.0 in
-  Metrics.observe queue_wait_h queue_wait_ms;
-  Rolling.observe t.rolling_queue_wait queue_wait_ms;
   (* Retroactive queue-wait span: enqueue was its start, pop its end. *)
   Trace.record ~name:"server.queue" ~attrs ~tid:ex.ex_tid
     ~start_ns:item.enqueued_ns
     ~dur_ns:(Int64.sub (Clock.now_ns ()) item.enqueued_ns)
     ();
   let meta = Handlers.create_meta () in
-  let outcome, wall_ms =
-    Trace.with_span ~name:"server.request" ~attrs ~tid:ex.ex_tid (fun () ->
-        let outcome =
-          Trace.with_span ~name:"server.execute" ~attrs:[ ("request_id", rid) ]
-            ~tid:ex.ex_tid (fun () ->
-              (* Handlers never raise by contract; the guard is the
-                 last-ditch net that keeps the daemon alive if one
-                 does. *)
-              match
-                Verrors.guard ~stage:"server.request" (fun () ->
-                    Handlers.execute ~meta
-                      ?deadline_ns:item.item_deadline_ns t.session
-                      item.item_req)
-              with
-              | Ok outcome -> outcome
-              | Error e -> Error (e, []))
-        in
-        let wall_ms = (Clock.now_s () -. started_s) *. 1000.0 in
-        (* Close the flight before any response is written: a duplicate
-           arriving after this point opens a fresh flight (so a failure
-           is never memoized), and none can attach to a flight whose
-           responses are already on the wire. *)
-        let followers =
-          match claimed with
-          | Some fs -> fs
-          | None -> Sflight.complete t.sflight ~key:item.item_key
-        in
-        let status, code, degradations = outcome_row outcome in
-        publish_last t ~id:item.item_id ~rid ~kind ~benchmark ~status
-          ~cache:meta.Handlers.cache ~queue_wait_ms ~wall_ms;
-        log_access t
-          (access_entry ~rid ~id:item.item_id ~cid:item.item_conn.cid ~kind
-             ~benchmark ~status ?code ~cache:meta.Handlers.cache
-             ?content_key:meta.Handlers.content_key ~degradations
-             ~queue_wait_ms ~wall_ms ());
-        (* Black-box dump: anything that failed or degraded leaves a
-           forensic trail named after the request id.  A successful run
-           carries its degradations inside the (deterministic) result
-           body, so peek there for the degraded-but-ok case.  Leader
-           only — followers share the exact same solve. *)
-        (match outcome with
-        | Error _ -> dump_flight t ~rid ~why:"faulted request"
-        | Ok result -> (
-          match Json.member "degradations" result with
-          | Some (Json.List (_ :: _)) ->
-            dump_flight t ~rid ~why:"degraded request"
-          | _ -> ()));
-        Trace.with_span ~name:"server.respond" ~attrs:[ ("request_id", rid) ]
+  Trace.with_span ~name:"server.request" ~attrs ~tid:ex.ex_tid (fun () ->
+      let result =
+        Trace.with_span ~name:"server.execute" ~attrs:[ ("request_id", rid) ]
           ~tid:ex.ex_tid (fun () ->
-            match outcome with
-            | Ok result ->
-              Atomic.incr t.served;
-              write_json t item.item_conn (P.ok_response ~id:item.item_id result)
-            | Error (e, degs) ->
-              Atomic.incr t.failed;
-              Metrics.incr errors_c;
-              Log.warn (fun m ->
-                  m "%s %s failed: %s" kind benchmark
-                    (Verrors.code_name e.Verrors.code));
-              write_json t item.item_conn
-                (P.error_response ~id:item.item_id
-                   ~degradations:(List.map Handlers.degradation_json degs)
-                   e));
-        settle item;
-        List.iter
-          (respond_follower t ex ~leader_rid:rid ~outcome ~meta
-             ~exec_started_s:started_s)
-          followers;
-        ignore
-          (Atomic.fetch_and_add ex.ex_requests (1 + List.length followers));
-        (outcome, wall_ms))
-  in
-  ignore outcome;
-  let total_ms = queue_wait_ms +. wall_ms in
-  Metrics.observe latency_h total_ms;
-  Rolling.observe t.rolling_latency total_ms;
-  Atomic.set ex.ex_stall_ns 0L;
+            (* Handlers never raise by contract; the guard is the
+               last-ditch net that keeps the daemon alive if one does. *)
+            match
+              Verrors.guard ~stage:"server.request" (fun () ->
+                  Handlers.execute ~meta ?deadline_ns:item.item_deadline_ns
+                    t.session item.item_req)
+            with
+            | Ok result -> result
+            | Error e -> Error (e, []))
+      in
+      let wall_ms = (Clock.now_s () -. started_s) *. 1000.0 in
+      (* Close the flight before any response is written: a duplicate
+         arriving after this point opens a fresh flight (so a failure is
+         never memoized), and none can attach to a flight whose
+         responses are already on the wire. *)
+      let followers =
+        match claimed with
+        | Some fs -> fs
+        | None -> Sflight.complete t.sflight ~key:item.item_key
+      in
+      Trace.with_span ~name:"server.respond" ~attrs:[ ("request_id", rid) ]
+        ~tid:ex.ex_tid (fun () ->
+          finish t
+            { (item_ended item (Answered result)) with
+              cache = meta.Handlers.cache;
+              content_key = meta.Handlers.content_key;
+              queue_wait_ms;
+              wall_ms });
+      settle item;
+      List.iter
+        (respond_follower t ex ~leader_rid:rid ~result
+           ~content_key:meta.Handlers.content_key ~exec_started_s:started_s)
+        followers;
+      ignore
+        (Atomic.fetch_and_add ex.ex_requests (1 + List.length followers)));
   Atomic.decr t.in_flight;
   Metrics.set in_flight_g (float_of_int (Atomic.get t.in_flight))
 
@@ -885,45 +892,27 @@ let process ?claimed t ex item =
    line; an abandoned one has nobody left to write to and is only
    accounted.  Either way the solve was skipped: no cache mutation, no
    solve span — the property tests pin exactly that. *)
-let shed t reason item =
+let shed t item ~abandoned =
   let kind = P.request_kind item.item_req in
-  let benchmark = benchmark_of item.item_req in
   let waited_ms =
     Float.max 0.0 ((Clock.now_s () -. item.enqueued_s) *. 1000.0)
   in
-  settle item;
-  match reason with
-  | `Expired ->
-    Atomic.incr t.expired;
-    Metrics.incr expired_c;
-    Flight.record
-      (Flight.Note
-         { name = "request-expired";
-           attrs =
-             [ ("rid", item.item_rid); ("type", kind);
-               ("queued_ms", Printf.sprintf "%.0f" waited_ms) ] });
-    write_json t item.item_conn
-      (P.error_response ~id:item.item_id
-         (Verrors.make ~code:Verrors.Deadline_exceeded ~stage:"server.queue"
-            ~subject:kind
-            (Printf.sprintf
-               "deadline exceeded after %.0f ms in queue: request was not \
-                executed"
-               waited_ms)
-            ~hints:
-              [ "raise deadline_ms, or drop it for best-effort requests";
-                "shrink queueing with `wavemin serve --executors N'" ]));
-    log_access t
-      (access_entry ~rid:item.item_rid ~id:item.item_id
-         ~cid:item.item_conn.cid ~kind ~benchmark ~status:"expired"
-         ~code:"deadline-exceeded" ~queue_wait_ms:waited_ms ())
-  | `Abandoned ->
-    Atomic.incr t.abandoned;
-    Metrics.incr abandoned_c;
-    log_access t
-      (access_entry ~rid:item.item_rid ~id:item.item_id
-         ~cid:item.item_conn.cid ~kind ~benchmark ~status:"abandoned"
-         ~queue_wait_ms:waited_ms ())
+  let status =
+    if abandoned then Abandoned
+    else
+      Expired
+        (Verrors.make ~code:Verrors.Deadline_exceeded ~stage:"server.queue"
+           ~subject:kind
+           (Printf.sprintf
+              "deadline exceeded after %.0f ms in queue: request was not \
+               executed"
+              waited_ms)
+           ~hints:
+             [ "raise deadline_ms, or drop it for best-effort requests";
+               "shrink queueing with `wavemin serve --executors N'" ])
+  in
+  finish t { (item_ended item status) with queue_wait_ms = waited_ms };
+  settle item
 
 (* A popped leader can be dead on arrival: expired in the window
    between the pop-time sweep and here, or its client already gone.
@@ -931,12 +920,12 @@ let shed t reason item =
    member still wants the (shared, deterministic) answer, so the solve
    proceeds with the first live member promoted to leader; with no live
    member left the solve is skipped entirely. *)
+let item_expired it =
+  match it.item_deadline_ns with
+  | Some d -> Int64.compare (Clock.now_ns ()) d > 0
+  | None -> false
+
 let dispatch t ex item =
-  let item_expired it =
-    match it.item_deadline_ns with
-    | Some d -> Int64.compare (Clock.now_ns ()) d > 0
-    | None -> false
-  in
   let item_abandoned it =
     with_lock it.item_conn.wmutex (fun () -> not it.item_conn.open_)
   in
@@ -948,9 +937,7 @@ let dispatch t ex item =
         (fun it -> not (item_expired it) && not (item_abandoned it))
         (item :: followers)
     in
-    List.iter
-      (fun it -> shed t (if item_abandoned it then `Abandoned else `Expired) it)
-      gone;
+    List.iter (fun it -> shed t it ~abandoned:(item_abandoned it)) gone;
     match live with
     | [] -> ()
     | leader :: claimed -> process t ex leader ~claimed
@@ -960,6 +947,18 @@ let dispatch t ex item =
 
 let io_fail stage msg =
   Verrors.fail ~code:Verrors.Io_error ~stage msg
+
+let listen_on domain sockaddr ~what =
+  let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
+  try
+    if domain = Unix.PF_INET then Unix.setsockopt fd Unix.SO_REUSEADDR true;
+    Unix.bind fd sockaddr;
+    Unix.listen fd 64;
+    fd
+  with Unix.Unix_error (err, _, _) ->
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    io_fail "server.bind"
+      (Printf.sprintf "cannot bind %s: %s" what (Unix.error_message err))
 
 let bind_listener = function
   | Unix_path path ->
@@ -1001,15 +1000,7 @@ let bind_listener = function
         (Printf.sprintf "%s exists and is not a socket: not evicting" path)
     | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
     | exception (Unix.Unix_error _ | Sys_error _) -> ());
-    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (try
-       Unix.bind fd (Unix.ADDR_UNIX path);
-       Unix.listen fd 64;
-       fd
-     with Unix.Unix_error (err, _, _) ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       io_fail "server.bind"
-         (Printf.sprintf "cannot bind %s: %s" path (Unix.error_message err)))
+    listen_on Unix.PF_UNIX (Unix.ADDR_UNIX path) ~what:path
   | Tcp { host; port } ->
     let addr =
       try Unix.inet_addr_of_string host
@@ -1019,17 +1010,8 @@ let bind_listener = function
           io_fail "server.bind" (Printf.sprintf "cannot resolve host %s" host)
         | { Unix.h_addr_list; _ } -> h_addr_list.(0))
     in
-    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-    (try
-       Unix.setsockopt fd Unix.SO_REUSEADDR true;
-       Unix.bind fd (Unix.ADDR_INET (addr, port));
-       Unix.listen fd 64;
-       fd
-     with Unix.Unix_error (err, _, _) ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       io_fail "server.bind"
-         (Printf.sprintf "cannot bind %s:%d: %s" host port
-            (Unix.error_message err)))
+    listen_on Unix.PF_INET (Unix.ADDR_INET (addr, port))
+      ~what:(Printf.sprintf "%s:%d" host port)
 
 (* SIGTERM/SIGINT → one byte down a self-pipe → a watcher thread runs
    the drain.  The handler itself takes no locks (it may interrupt code
@@ -1086,20 +1068,13 @@ let sampler_probe t () =
   let per_executor =
     Array.to_list t.executors
     |> List.concat_map (fun ex ->
-           let busy_frac =
-             if uptime_s <= 0.0 then 0.0
-             else
-               Float.min 1.0
-                 (float_of_int (Atomic.get ex.ex_busy_ns) /. (uptime_s *. 1e9))
-           in
            [ ( Printf.sprintf "server.executor%d_busy_frac" ex.ex_id,
-               busy_frac );
+               busy_frac ~uptime_s ex );
              ( Printf.sprintf "server.executor%d_requests" ex.ex_id,
                float_of_int (Atomic.get ex.ex_requests) ) ])
   in
   [ ("server.queue_depth", float_of_int (Bqueue.length t.queue));
     ("server.in_flight", float_of_int (Atomic.get t.in_flight));
-    ("server.coalesced", float_of_int (Atomic.get t.coalesced));
     ("server.rolling_latency_p50_ms", lat.Rolling.p50);
     ("server.rolling_latency_p95_ms", lat.Rolling.p95);
     ("server.rolling_latency_p99_ms", lat.Rolling.p99);
@@ -1119,19 +1094,18 @@ let flush_report t =
             ("cache_shards", string_of_int cache.Session.shards);
             ("executors", string_of_int (Array.length t.executors)) ]
         ~environment:
-          [ ("jobs", string_of_int (Par.jobs ()));
-            ("address", address_to_string t.cfg.address);
-            ("uptime_s", Json.float_to_string (Clock.now_s () -. t.started_s));
-            ("requests_served", string_of_int (Atomic.get t.served));
-            ("requests_rejected", string_of_int (Atomic.get t.rejected));
-            ("request_errors", string_of_int (Atomic.get t.failed));
-            ("requests_coalesced", string_of_int (Atomic.get t.coalesced));
-            ("requests_expired", string_of_int (Atomic.get t.expired));
-            ("requests_abandoned", string_of_int (Atomic.get t.abandoned));
-            ("executor_stalls", string_of_int (Atomic.get t.stalls));
-            ("cache_hits", string_of_int cache.Session.hits);
-            ("cache_misses", string_of_int cache.Session.misses);
-            ("cache_evictions", string_of_int cache.Session.evictions) ]
+          ([ ("jobs", string_of_int (Par.jobs ()));
+             ("address", address_to_string t.cfg.address);
+             ( "uptime_s",
+               Json.float_to_string (Clock.now_s () -. t.started_s) ) ]
+          @ List.map
+              (fun (k, n) -> (k, string_of_int n))
+              (tallies t ~report:true)
+          @ [ ("requests_coalesced", string_of_int (Atomic.get t.coalesced));
+              ("executor_stalls", string_of_int (Atomic.get t.stalls));
+              ("cache_hits", string_of_int cache.Session.hits);
+              ("cache_misses", string_of_int cache.Session.misses);
+              ("cache_evictions", string_of_int cache.Session.evictions) ])
         ()
     in
     Report.add_stage builder ~stage:"serve"
@@ -1188,19 +1162,14 @@ let setup cfg =
       next_rid = Atomic.make 0;
       started_s = Clock.now_s ();
       started_cpu_s = Clock.cpu_s ();
-      served = Atomic.make 0;
-      rejected = Atomic.make 0;
-      failed = Atomic.make 0;
-      expired = Atomic.make 0;
-      abandoned = Atomic.make 0;
+      tallies = Array.map (fun _ -> Atomic.make 0) statuses;
       stalls = Atomic.make 0;
       in_flight = Atomic.make 0;
       rolling_latency = Rolling.create ~window_s:cfg.rolling_window_s ();
       rolling_queue_wait = Rolling.create ~window_s:cfg.rolling_window_s ();
       access = open_access_log cfg;
       overload_dumped = Atomic.make false;
-      last_mutex = Mutex.create ();
-      last = Json.Null;
+      last = Atomic.make Json.Null;
       sampler = None;
       pool_prev = None;
       acceptor = None;
@@ -1236,11 +1205,6 @@ let setup cfg =
    one lock hold; each swept entry still goes through [dispatch], which
    owns the flight bookkeeping and the member-by-member triage. *)
 let executor_loop t ex =
-  let expired_now item =
-    match item.item_deadline_ns with
-    | Some d -> Int64.compare (Clock.now_ns ()) d > 0
-    | None -> false
-  in
   let handle item =
     let t0 = Clock.now_ns () in
     Atomic.set ex.ex_rid item.item_rid;
@@ -1252,7 +1216,7 @@ let executor_loop t ex =
          (Int64.to_int (Int64.sub (Clock.now_ns ()) t0)))
   in
   let rec loop () =
-    let live, swept = Bqueue.pop_live t.queue ~expired:expired_now in
+    let live, swept = Bqueue.pop_live t.queue ~expired:item_expired in
     List.iter handle swept;
     match live with
     | Some item ->
@@ -1365,8 +1329,11 @@ let run t =
     try Runtime.sample ~probe:(sampler_probe t) () with _ -> ());
   (match t.access with None -> () | Some a -> Access_log.close a);
   Log.info (fun m ->
-      m "drained: %d served, %d rejected, %d failed" (Atomic.get t.served)
-        (Atomic.get t.rejected) (Atomic.get t.failed));
+      m "drained: %s"
+        (String.concat ", "
+           (List.map
+              (fun (k, n) -> Printf.sprintf "%d %s" n k)
+              (tallies t ~report:false))));
   flush_report t
 
 let serve cfg = run (setup cfg)

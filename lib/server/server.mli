@@ -49,7 +49,12 @@
     the domain-pool busy fraction; the [metrics] control request
     exposes the whole registry as Prometheus text or JSON.  All of it
     is strictly out-of-band: response bytes carry none of these fields,
-    preserving the byte-identity determinism property. *)
+    preserving the byte-identity determinism property.
+
+    Each data-plane request ends in one outcome record whose status
+    counter, latency windows, [last], access-log line and dump are all
+    written in one place, so [stats], the drain report and the access
+    log agree. *)
 
 type address =
   | Unix_path of string  (** Unix-domain socket path. *)

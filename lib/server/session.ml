@@ -8,32 +8,64 @@ module Metrics = Repro_obs.Metrics
 module Flight = Repro_obs.Flight
 module Obs_clock = Repro_obs.Clock
 
-let hits_c = Metrics.counter "server.cache_hits"
-let misses_c = Metrics.counter "server.cache_misses"
-let evictions_c = Metrics.counter "server.cache_evictions"
-let warm_hits_c = Metrics.counter "server.warm_hits"
-let warm_stores_c = Metrics.counter "server.warm_stores"
+(* The one cache-outcome vocabulary.  [Hit]/[Miss]/[Coalesced]/[Warm]/
+   [No_lookup] are also the per-request outcome that [Handlers.meta] and
+   the access log carry; [Evict] and [Store] only ever name events. *)
+type cache = Prepared | Warm_store | Library | Single_flight
+
+type cache_outcome = Hit | Miss | Evict | Store | Coalesced | Warm | No_lookup
+
+let cache_name = function
+  | Prepared -> "session"
+  | Warm_store -> "warm"
+  | Library -> "library"
+  | Single_flight -> "single-flight"
+
+let cache_outcome_name = function
+  | Hit -> "hit"
+  | Miss -> "miss"
+  | Evict -> "evict"
+  | Store -> "store"
+  | Coalesced -> "coalesced"
+  | Warm -> "warm"
+  | No_lookup -> "none"
+
+(* The counted events: each has a per-session tally (read by [stats])
+   and a metric. *)
+let counted =
+  List.map
+    (fun (event, name) -> (event, Metrics.counter name))
+    [ ((Prepared, Hit), "server.cache_hits");
+      ((Prepared, Miss), "server.cache_misses");
+      ((Prepared, Evict), "server.cache_evictions");
+      ((Warm_store, Hit), "server.warm_hits");
+      ((Warm_store, Store), "server.warm_stores") ]
+
+(* A build in progress for one key, shared by every concurrent miss on
+   it; dropped from its shard when the last of them is done. *)
+type build = { b_lock : Mutex.t; mutable b_users : int }
 
 (* One lock-striped shard of the prepared-benchmark cache.  Hot keys on
    different shards no longer serialize on a single mutex when several
    executors perform warm lookups concurrently. *)
-type shard = { s_mutex : Mutex.t; s_entries : Flow.prepared Lru.t }
+type shard = {
+  s_mutex : Mutex.t;
+  s_entries : Flow.prepared Lru.t;
+  s_builds : (string, build) Hashtbl.t;  (* guarded by [s_mutex] *)
+}
 
 type t = {
   shards : shard array;  (* power-of-two length *)
   mask : int;
   lib_mutex : Mutex.t;
   libraries : Repro_cell.Cell.t list Lru.t;  (* parsed, by text digest *)
-  hits : int Atomic.t;
-  misses : int Atomic.t;
+  tallies : ((cache * cache_outcome) * int Atomic.t) list;  (* [counted] *)
   (* Warm-start store: base key (tree + library, params excluded) to
      the most recent solved assignment and the params it was solved
      under.  A near-miss — same tree, different kappa/slots — becomes
      an annealer quench seed instead of a cold solve. *)
   warm_mutex : Mutex.t;
   warm : (Repro_core.Context.params * Repro_clocktree.Assignment.t) Lru.t;
-  warm_hits : int Atomic.t;
-  warm_stores : int Atomic.t;
 }
 
 (* Largest power of two that still gives every shard at least one
@@ -53,16 +85,14 @@ let create ?(capacity = 8) ?(shards = 4) () =
     shards =
       Array.init n (fun _ ->
           { s_mutex = Mutex.create ();
-            s_entries = Lru.create ~capacity:per_shard });
+            s_entries = Lru.create ~capacity:per_shard;
+            s_builds = Hashtbl.create 4 });
     mask = n - 1;
     lib_mutex = Mutex.create ();
     libraries = Lru.create ~capacity:(max 4 capacity);
-    hits = Atomic.make 0;
-    misses = Atomic.make 0;
+    tallies = List.map (fun (event, _) -> (event, Atomic.make 0)) counted;
     warm_mutex = Mutex.create ();
     warm = Lru.create ~capacity:(max 4 capacity);
-    warm_hits = Atomic.make 0;
-    warm_stores = Atomic.make 0;
   }
 
 let shard_count t = Array.length t.shards
@@ -94,6 +124,17 @@ let with_shard t k f =
     ~resource:(Printf.sprintf "session.shard%d" i)
     s.s_mutex
     (fun () -> f s)
+
+(* Every cache event goes through here: its tally and metric when it is
+   a counted one, and always a flight-recorder event. *)
+let record t cache outcome ~key =
+  Option.iter Atomic.incr (List.assoc_opt (cache, outcome) t.tallies);
+  Option.iter Metrics.incr (List.assoc_opt (cache, outcome) counted);
+  Flight.record
+    (Flight.Cache
+       { cache = cache_name cache; outcome = cache_outcome_name outcome; key })
+
+let tally t cache outcome = Atomic.get (List.assoc (cache, outcome) t.tallies)
 
 (* The default library's serialized form participates in the hash so a
    rebuilt binary with different built-in cells cannot alias an entry. *)
@@ -147,24 +188,15 @@ let key ~spec ~params ~library = content_digest ~spec ~params ~library ()
 let base_key ~spec ~library = content_digest ~spec ~library ()
 
 let warm_hint t ~base =
-  match
+  let hint =
     with_lock ~resource:"session.warm" t.warm_mutex (fun () ->
         Lru.find t.warm base)
-  with
-  | Some entry ->
-    Atomic.incr t.warm_hits;
-    Metrics.incr warm_hits_c;
-    Flight.record
-      (Flight.Cache { cache = "warm"; outcome = "hit"; key = base });
-    Some entry
-  | None ->
-    Flight.record
-      (Flight.Cache { cache = "warm"; outcome = "miss"; key = base });
-    None
+  in
+  record t Warm_store (if Option.is_none hint then Miss else Hit) ~key:base;
+  hint
 
 let remember_warm t ~base ~params assignment =
-  Atomic.incr t.warm_stores;
-  Metrics.incr warm_stores_c;
+  record t Warm_store Store ~key:base;
   with_lock ~resource:"session.warm" t.warm_mutex (fun () ->
       ignore (Lru.add t.warm base (params, assignment)))
 
@@ -177,8 +209,7 @@ let cells_of t = function
           Lru.find t.libraries lib_key)
     with
     | Some cells ->
-      Flight.record
-        (Flight.Cache { cache = "library"; outcome = "hit"; key = lib_key });
+      record t Library Hit ~key:lib_key;
       Ok cells
     | None -> (
       match Verrors.guard ~stage:"server.session" (fun () -> Liberty.parse text) with
@@ -189,43 +220,55 @@ let cells_of t = function
             ignore (Lru.add t.libraries lib_key cells));
         Ok cells))
 
+(* Build once per key, like [Flow.prepared]'s context: a miss takes the
+   key's build lock and looks again before building, so concurrent
+   misses wait for the first build and then hit.  A failed build
+   inserts nothing; the next holder of the lock retries. *)
+let with_build t k f =
+  let b =
+    with_shard t k (fun s ->
+        let b =
+          Option.value (Hashtbl.find_opt s.s_builds k)
+            ~default:{ b_lock = Mutex.create (); b_users = 0 }
+        in
+        Hashtbl.replace s.s_builds k b;
+        b.b_users <- b.b_users + 1;
+        b)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      with_shard t k (fun s ->
+          b.b_users <- b.b_users - 1;
+          if b.b_users = 0 then Hashtbl.remove s.s_builds k))
+    (fun () -> Mutex.protect b.b_lock f)
+
 let prepared t ~spec ~params ?library () =
   let k = key ~spec ~params ~library in
-  match with_shard t k (fun s -> Lru.find s.s_entries k) with
-  | Some prep ->
-    Atomic.incr t.hits;
-    Metrics.incr hits_c;
-    Flight.record (Flight.Cache { cache = "session"; outcome = "hit"; key = k });
-    Ok (prep, `Hit)
-  | None -> (
-    (* Build outside the lock so warm lookups on this shard (and the
-       control plane) stay responsive during synthesis.  Two executors
-       missing on the same key concurrently both build — deterministic
-       duplicate work; [Lru.add] makes the second insert a no-op-sized
-       replace.  The single-flight layer upstream makes this rare. *)
-    match cells_of t library with
-    | Error e -> Error e
-    | Ok cells -> (
-      match
+  let cached () = with_shard t k (fun s -> Lru.find s.s_entries k) in
+  let hit prep =
+    record t Prepared Hit ~key:k;
+    Ok (prep, Hit)
+  in
+  let build () =
+    Result.bind (cells_of t library) (fun cells ->
         Verrors.guard ~stage:"server.session" (fun () ->
             let tree = Benchmarks.synthesize spec in
-            Flow.prepare ~params ~cells ~name:spec.Benchmarks.name tree)
-      with
-      | Error e -> Error e
-      | Ok prep ->
-        Atomic.incr t.misses;
-        Metrics.incr misses_c;
-        Flight.record
-          (Flight.Cache { cache = "session"; outcome = "miss"; key = k });
-        with_shard t k (fun s ->
-            match Lru.add s.s_entries k prep with
-            | None -> ()
-            | Some _evicted ->
-              Metrics.incr evictions_c;
-              Flight.record
-                (Flight.Cache
-                   { cache = "session"; outcome = "evict"; key = k }));
-        Ok (prep, `Miss)))
+            Flow.prepare ~params ~cells ~name:spec.Benchmarks.name tree))
+    |> Result.map (fun prep ->
+           record t Prepared Miss ~key:k;
+           with_shard t k (fun s ->
+               if Lru.add s.s_entries k prep <> None then
+                 record t Prepared Evict ~key:k);
+           (prep, Miss))
+  in
+  let result =
+    match cached () with
+    | Some prep -> hit prep
+    | None ->
+      with_build t k (fun () ->
+          match cached () with Some prep -> hit prep | None -> build ())
+  in
+  (k, result)
 
 type stats = {
   entries : string list;
@@ -241,27 +284,23 @@ type stats = {
 
 let stats (t : t) =
   (* Snapshot shard by shard: entries are MRU-first within a shard,
-     concatenated in shard order.  Global counters are atomics, so no
+     concatenated in shard order.  The tallies are atomics, so no
      whole-cache lock is ever taken. *)
-  let per =
-    Array.map
-      (fun s ->
-        with_lock ~resource:"session.stats" s.s_mutex (fun () ->
-            ( Lru.keys s.s_entries,
-              Lru.capacity s.s_entries,
-              Lru.evictions s.s_entries )))
-      t.shards
-  in
   {
-    entries = Array.to_list per |> List.concat_map (fun (ks, _, _) -> ks);
-    capacity = Array.fold_left (fun acc (_, c, _) -> acc + c) 0 per;
+    entries =
+      Array.to_list t.shards
+      |> List.concat_map (fun s ->
+             with_lock ~resource:"session.stats" s.s_mutex (fun () ->
+                 Lru.keys s.s_entries));
+    capacity =
+      Array.fold_left (fun acc s -> acc + Lru.capacity s.s_entries) 0 t.shards;
     shards = Array.length t.shards;
-    hits = Atomic.get t.hits;
-    misses = Atomic.get t.misses;
-    evictions = Array.fold_left (fun acc (_, _, e) -> acc + e) 0 per;
+    hits = tally t Prepared Hit;
+    misses = tally t Prepared Miss;
+    evictions = tally t Prepared Evict;
     warm_entries =
       with_lock ~resource:"session.warm" t.warm_mutex (fun () ->
           List.length (Lru.keys t.warm));
-    warm_hits = Atomic.get t.warm_hits;
-    warm_stores = Atomic.get t.warm_stores;
+    warm_hits = tally t Warm_store Hit;
+    warm_stores = tally t Warm_store Store;
   }

@@ -15,14 +15,42 @@
     LRU, indexed by a hash of the content key.  Concurrent executors
     performing warm lookups only contend when their keys land on the
     same shard; eviction is least-recently-used within each shard.
-    Hits and misses are counted in the [server.cache_hits] /
-    [server.cache_misses] metrics (global atomics, coherent across
-    shards). *)
+    Every cache event goes through {!record}. *)
 
 module Flow := Repro_core.Flow
 module Verrors := Repro_util.Verrors
 
 type t
+
+(** Flight-recorded as ["session"], ["warm"], ["library"] and
+    ["single-flight"]. *)
+type cache = Prepared | Warm_store | Library | Single_flight
+
+(** The one cache-outcome vocabulary, shared by flight events,
+    {!Handlers.meta} and the access log's [cache] field. *)
+type cache_outcome =
+  | Hit
+  | Miss
+  | Evict  (** An insert pushed the least-recently-used entry out. *)
+  | Store  (** An assignment banked in the warm-start store. *)
+  | Coalesced
+      (** Answered from another request's in-flight solve (single-flight
+          follower); set by the server. *)
+  | Warm
+      (** A warm-opted [Sa] run found a banked assignment for the same
+          tree and library and re-solved by annealer quench
+          ({!Repro_core.Flow.Warm}) instead of solving cold. *)
+  | No_lookup  (** No session-cache lookup happened (e.g. [validate]). *)
+
+val cache_outcome_name : cache_outcome -> string
+(** ["hit"], ["miss"], ["evict"], ["store"], ["coalesced"], ["warm"],
+    ["none"]. *)
+
+val record : t -> cache -> cache_outcome -> key:string -> unit
+(** Record one cache event as a flight-recorder [Cache] event.  Session
+    hits, misses and evictions and warm hits and stores are also tallied
+    for {!stats} and counted in the [server.cache_hits]/[_misses]/
+    [_evictions] and [server.warm_hits]/[_stores] metrics. *)
 
 val create : ?capacity:int -> ?shards:int -> unit -> t
 (** [capacity] (default 8) bounds the prepared-benchmark entries across
@@ -60,9 +88,7 @@ val warm_hint :
   base:string ->
   (Repro_core.Context.params * Repro_clocktree.Assignment.t) option
 (** The most recent assignment banked under [base] (with the params it
-    was solved under), if any — the annealer's ECO quench seed.  Hits
-    are counted in the [server.warm_hits] metric and flight-recorded as
-    a ["warm"] cache event. *)
+    was solved under), if any — the annealer's ECO quench seed. *)
 
 val remember_warm :
   t ->
@@ -71,7 +97,7 @@ val remember_warm :
   Repro_clocktree.Assignment.t ->
   unit
 (** Bank a solved assignment for future warm starts (LRU, most recent
-    solution per base key wins).  Counted in [server.warm_stores]. *)
+    solution per base key wins). *)
 
 val prepared :
   t ->
@@ -79,14 +105,13 @@ val prepared :
   params:Repro_core.Context.params ->
   ?library:string ->
   unit ->
-  (Flow.prepared * [ `Hit | `Miss ], Verrors.t) result
-(** Fetch or build the prepared benchmark.  Failures (library parse
-    errors, synthesis faults) are returned structurally and never
-    cached, so a transient injected fault does not poison the entry.
-    The expensive build runs outside any shard lock; two executors
-    missing concurrently on the same key both build (deterministic
-    duplicate work — the server's single-flight layer makes this
-    rare). *)
+  string * (Flow.prepared * cache_outcome, Verrors.t) result
+(** The content key ({!key}) and the prepared benchmark, fetched
+    ([Hit]) or built ([Miss]).  Each key is built at most once, outside
+    the shard lock: concurrent misses on one key wait for the first
+    build and then hit.  Failures (library parse errors, synthesis
+    faults) are returned structurally and never cached; the next lookup
+    rebuilds. *)
 
 type stats = {
   entries : string list;
@@ -96,10 +121,10 @@ type stats = {
   shards : int;
   hits : int;
   misses : int;
-  evictions : int;  (** Summed across shards. *)
+  evictions : int;
   warm_entries : int;  (** Banked warm-start assignments. *)
-  warm_hits : int;  (** Warm hints served ([server.warm_hits]). *)
-  warm_stores : int;  (** Assignments banked ([server.warm_stores]). *)
+  warm_hits : int;  (** Warm hints served. *)
+  warm_stores : int;  (** Assignments banked. *)
 }
 
 val stats : t -> stats

@@ -13,6 +13,9 @@
 #   - expired deadlines: requests whose --deadline-ms passes while
 #     queued come back as structured deadline-exceeded errors and are
 #     provably never executed;
+#   - accounting: after a graceful drain, every per-status counter of
+#     the drain report equals the access-log lines with that status
+#     (scripts/check_accounting.sh);
 #   - kill -9 + restart: the stale socket file left behind is probed,
 #     evicted and rebound by the next daemon, while a client with
 #     --retries rides out the restart window on jittered backoff.
@@ -71,7 +74,9 @@ echo "== wavemin chaos, jobs=$JOBS =="
 CHAOS_FLIGHT="$TMP/flight-chaos"
 mkdir -p "$CHAOS_FLIGHT"
 CHAOS_ACCESS="$TMP/access-chaos.jsonl"
-WAVEMIN_JOBS="$JOBS" "$W" serve -A "$SOCK" --executors 1 --no-report \
+CHAOS_REPORT="$TMP/BENCH_serve_chaos.json"
+WAVEMIN_JOBS="$JOBS" "$W" serve -A "$SOCK" --executors 1 \
+  --report "$CHAOS_REPORT" \
   --idle-timeout 0.5 --max-line 4096 \
   --access-log "$CHAOS_ACCESS" --flight-dir "$CHAOS_FLIGHT" \
   >"$TMP/serve-chaos.log" 2>&1 &
@@ -136,9 +141,22 @@ grep -q '"status":"expired"' "$CHAOS_ACCESS" \
 grep -q '"status":"abandoned"' "$CHAOS_ACCESS" \
   || fail "access log missed the abandoned request"
 
+# Drain, then the books must balance: each status's drain-report
+# counter equals its access-log lines (peer rejections included).
+"$W" client -A "$SOCK" shutdown >/dev/null
+CODE=0; wait_exit "$SERVER" || CODE=$?
+SERVER=""
+[ "$CODE" -eq 0 ] || fail "chaos daemon drain exited $CODE"
+bash "$(dirname "$0")/check_accounting.sh" "$CHAOS_REPORT" "$CHAOS_ACCESS" \
+  || fail "drain report and access log disagree"
+
 # kill -9: no drain, no unlink — the socket file is left behind.  The
 # next daemon must probe it, find nobody answering, evict it and bind;
 # a client retrying with backoff rides out the restart window.
+WAVEMIN_JOBS="$JOBS" "$W" serve -A "$SOCK" --executors 1 --no-report \
+  >"$TMP/serve-chaos-victim.log" 2>&1 &
+SERVER=$!
+wait_ready
 kill -9 "$SERVER" 2>/dev/null || true
 wait "$SERVER" 2>/dev/null || true
 SERVER=""

@@ -16,6 +16,9 @@
 #     Prometheus text and a JSON snapshot, `top --once` renders, and the
 #     JSONL access log records every data-plane request (rejections
 #     included);
+#   - accounting: after each drain, every per-status counter of the
+#     drain report equals the access-log lines with that status
+#     (scripts/check_accounting.sh);
 #   - flight recorder: the `flight` control request snapshots the event
 #     ring, the overload episode leaves a request-id-named black-box
 #     dump, and `wavemin explain` renders dumps into a human report;
@@ -155,6 +158,8 @@ echo "shutdown drain ok, report written"
 grep -q '"rid":"r' "$ACCESS" || fail "access log lines carry no request id"
 grep -q '"cache":"hit"' "$ACCESS" || fail "access log never saw a cache hit"
 echo "access log ok ($(wc -l <"$ACCESS") lines)"
+bash "$(dirname "$0")/check_accounting.sh" "$REPORT" "$ACCESS" \
+  || fail "drain report and access log disagree"
 
 # ---- backpressure: deterministic overflow on one executor ------------
 # A single-executor daemon with a queue bound of 1: a slow request
@@ -163,10 +168,11 @@ echo "access log ok ($(wc -l <"$ACCESS") lines)"
 # layer cannot coalesce them — must be rejected with a structured
 # `overloaded` error while the daemon keeps serving.
 ACCESS_OVL="$TMP/access-overload.jsonl"
+REPORT_OVL="$TMP/BENCH_serve_overload.json"
 FLIGHT_DIR="$TMP/flight"
 mkdir -p "$FLIGHT_DIR"
 WAVEMIN_JOBS="$JOBS" "$W" serve -A "$SOCK" --queue 1 --executors 1 \
-  --no-report --access-log "$ACCESS_OVL" --flight-dir "$FLIGHT_DIR" \
+  --report "$REPORT_OVL" --access-log "$ACCESS_OVL" --flight-dir "$FLIGHT_DIR" \
   >"$TMP/serve-overload.log" 2>&1 &
 SERVER=$!
 wait_ready
@@ -190,6 +196,8 @@ SERVER=""
 [ "$CODE" -eq 0 ] || fail "overload daemon drain exited $CODE"
 grep -q '"status":"rejected"' "$ACCESS_OVL" \
   || fail "access log missed the overloaded rejections"
+bash "$(dirname "$0")/check_accounting.sh" "$REPORT_OVL" "$ACCESS_OVL" \
+  || fail "overload drain report and access log disagree"
 
 # The overload episode left exactly the black-box dump the flight
 # recorder promises: request-id-named, versioned, explainable.
@@ -272,8 +280,9 @@ echo "access-log rotation ok ($(ls "$ROTLOG".* | wc -l) generations)"
 
 # ---- SIGTERM drain ----------------------------------------------------
 REPORT2="$TMP/BENCH_serve_sigterm.json"
+ACCESS2="$TMP/access-sigterm.jsonl"
 WAVEMIN_JOBS="$JOBS" "$W" serve -A "$SOCK" --executors "$EXECUTORS" \
-  --report "$REPORT2" >"$TMP/serve2.log" 2>&1 &
+  --report "$REPORT2" --access-log "$ACCESS2" >"$TMP/serve2.log" 2>&1 &
 SERVER=$!
 wait_ready
 "$W" client -A "$SOCK" run s15850 -a initial >/dev/null
@@ -282,6 +291,8 @@ CODE=0; wait_exit "$SERVER" || CODE=$?
 SERVER=""
 [ "$CODE" -eq 0 ] || fail "SIGTERM drain exited $CODE"
 [ -f "$REPORT2" ] || fail "no drain report after SIGTERM"
+bash "$(dirname "$0")/check_accounting.sh" "$REPORT2" "$ACCESS2" \
+  || fail "SIGTERM drain report and access log disagree"
 echo "SIGTERM drain ok"
 
 # ---- every fault seam: structured errors, never a dead daemon --------

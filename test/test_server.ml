@@ -30,8 +30,7 @@ let test_lru_eviction_order () =
   Alcotest.(check (option string)) "no eviction" None (Lru.add l "a" 1);
   Alcotest.(check (option string)) "no eviction" None (Lru.add l "b" 2);
   Alcotest.(check (option string)) "a is LRU" (Some "a") (Lru.add l "c" 3);
-  Alcotest.(check (list string)) "MRU first" [ "c"; "b" ] (Lru.keys l);
-  Alcotest.(check int) "one eviction" 1 (Lru.evictions l)
+  Alcotest.(check (list string)) "MRU first" [ "c"; "b" ] (Lru.keys l)
 
 let test_lru_find_bumps () =
   let l = Lru.create ~capacity:2 in
@@ -59,7 +58,6 @@ let test_lru_replace_and_remove () =
   Lru.remove l "a";
   Alcotest.(check bool) "removed" false (Lru.mem l "a");
   Alcotest.(check int) "length" 1 (Lru.length l);
-  Alcotest.(check int) "removal is not eviction" 0 (Lru.evictions l);
   Alcotest.check_raises "capacity 0 rejected"
     (Invalid_argument "Lru.create: capacity must be >= 1") (fun () ->
       ignore (Lru.create ~capacity:0))
@@ -326,14 +324,17 @@ let params = Repro_core.Context.default_params
 
 let test_session_hit_miss () =
   let s = Session.create ~capacity:4 () in
-  (match Session.prepared s ~spec:(spec "s15850") ~params () with
-  | Ok (_, `Miss) -> ()
-  | Ok (_, `Hit) -> Alcotest.fail "cold lookup reported a hit"
-  | Error e -> Alcotest.fail (Verrors.to_string e));
-  (match Session.prepared s ~spec:(spec "s15850") ~params () with
-  | Ok (_, `Hit) -> ()
-  | Ok (_, `Miss) -> Alcotest.fail "warm lookup missed"
-  | Error e -> Alcotest.fail (Verrors.to_string e));
+  let lookup () =
+    match Session.prepared s ~spec:(spec "s15850") ~params () with
+    | key, Ok (_, outcome) ->
+      Alcotest.(check string) "content key returned"
+        (Session.key ~spec:(spec "s15850") ~params ~library:None)
+        key;
+      Session.cache_outcome_name outcome
+    | _, Error e -> Alcotest.fail (Verrors.to_string e)
+  in
+  Alcotest.(check string) "cold lookup misses" "miss" (lookup ());
+  Alcotest.(check string) "warm lookup hits" "hit" (lookup ());
   let st = Session.stats s in
   Alcotest.(check int) "hits" 1 st.Session.hits;
   Alcotest.(check int) "misses" 1 st.Session.misses
@@ -346,25 +347,25 @@ let test_session_content_hash () =
   let lib' = lib ^ "\n" in
   let lookup ?library params =
     match Session.prepared s ~spec:(spec "s15850") ~params ?library () with
-    | Ok (_, kind) -> kind
-    | Error e -> Alcotest.fail (Verrors.to_string e)
+    | _, Ok (_, kind) -> kind
+    | _, Error e -> Alcotest.fail (Verrors.to_string e)
   in
-  Alcotest.(check bool) "cold" true (lookup params = `Miss);
+  Alcotest.(check bool) "cold" true (lookup params = Session.Miss);
   Alcotest.(check bool) "kappa changes the key" true
-    (lookup { params with Repro_core.Context.kappa = 30.0 } = `Miss);
+    (lookup { params with Repro_core.Context.kappa = 30.0 } = Session.Miss);
   Alcotest.(check bool) "explicit built-in text aliases the default" true
-    (lookup ~library:lib params = `Hit);
+    (lookup ~library:lib params = Session.Hit);
   Alcotest.(check bool) "modified library invalidates" true
-    (lookup ~library:lib' params = `Miss);
+    (lookup ~library:lib' params = Session.Miss);
   Alcotest.(check bool) "modified library cached" true
-    (lookup ~library:lib' params = `Hit)
+    (lookup ~library:lib' params = Session.Hit)
 
 let test_session_eviction () =
   let s = Session.create ~capacity:1 () in
   let miss name =
     match Session.prepared s ~spec:(spec name) ~params () with
-    | Ok (_, kind) -> kind = `Miss
-    | Error e -> Alcotest.fail (Verrors.to_string e)
+    | _, Ok (_, kind) -> kind = Session.Miss
+    | _, Error e -> Alcotest.fail (Verrors.to_string e)
   in
   Alcotest.(check bool) "cold s15850" true (miss "s15850");
   Alcotest.(check bool) "cold s13207" true (miss "s13207");
@@ -427,16 +428,16 @@ let test_session_per_shard_eviction () =
   in
   let lookup p =
     match Session.prepared s ~spec:sp ~params:p () with
-    | Ok (_, kind) -> kind
-    | Error e -> Alcotest.fail (Verrors.to_string e)
+    | _, Ok (_, kind) -> kind
+    | _, Error e -> Alcotest.fail (Verrors.to_string e)
   in
   List.iter
-    (fun p -> Alcotest.(check bool) "cold" true (lookup p = `Miss))
+    (fun p -> Alcotest.(check bool) "cold" true (lookup p = Session.Miss))
     same_shard;
   Alcotest.(check int) "third same-shard key evicts within its shard" 1
     (Session.stats s).Session.evictions;
   Alcotest.(check bool) "oldest same-shard key re-misses" true
-    (lookup (List.hd same_shard) = `Miss)
+    (lookup (List.hd same_shard) = Session.Miss)
 
 let test_session_key_digests_pinned () =
   (* Shard choice and the access log's content_key depend on these
@@ -488,6 +489,76 @@ let test_session_warm_store () =
   Alcotest.(check int) "warm hits" 2 st.Session.warm_hits;
   Alcotest.(check int) "warm stores" 2 st.Session.warm_stores
 
+let synthesize_spans f =
+  Repro_obs.Trace.reset ();
+  Repro_obs.Trace.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Repro_obs.Trace.set_enabled false)
+    (fun () ->
+      f ();
+      List.length
+        (List.filter
+           (fun sp -> sp.Repro_obs.Trace.name = "cts.synthesize")
+           (Repro_obs.Trace.spans ())))
+
+let test_session_built_once () =
+  (* Concurrent misses on one key share a single build: the first
+     synthesizes, the rest wait for it and hit.  The tree is big enough
+     that synthesis spans a thread switch, so an unguarded miss path
+     would synthesize more than once. *)
+  let big =
+    { (spec "s38417") with
+      Benchmarks.name = "big"; num_nodes = 6000; num_leaves = 4500;
+      die_side = 1600.0 }
+  in
+  let s = Session.create ~capacity:4 () in
+  let n = 8 in
+  let results = Array.make n None in
+  let synthesized =
+    synthesize_spans (fun () ->
+        List.init n (fun i ->
+            Thread.create
+              (fun () ->
+                results.(i) <-
+                  Some (snd (Session.prepared s ~spec:big ~params ())))
+              ())
+        |> List.iter Thread.join)
+  in
+  let preps =
+    Array.to_list results
+    |> List.map (function
+         | Some (Ok (prep, _)) -> prep
+         | Some (Error e) -> Alcotest.fail (Verrors.to_string e)
+         | None -> Alcotest.fail "thread did not finish")
+  in
+  Alcotest.(check int) "one cts.synthesize" 1 synthesized;
+  Alcotest.(check bool) "every caller got the one entry" true
+    (List.for_all (fun p -> p == List.hd preps) preps);
+  let st = Session.stats s in
+  Alcotest.(check int) "one miss" 1 st.Session.misses;
+  Alcotest.(check int) "the rest hit" (n - 1) st.Session.hits
+
+let test_session_failed_build_not_memoized () =
+  (* A build that fails (here: the library parser's fault seam) leaves
+     nothing behind; the next lookup builds, the one after hits. *)
+  let s = Session.create ~capacity:4 () in
+  let library = Liberty.to_string (Flow.leaf_library ()) ^ "\n" in
+  let lookup () =
+    snd (Session.prepared s ~spec:(spec "s15850") ~params ~library ())
+  in
+  (match Fault.set_spec "parser:1" with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg);
+  let faulted = Fun.protect ~finally:Fault.clear lookup in
+  Alcotest.(check bool) "faulted build fails" true (Result.is_error faulted);
+  let outcome () =
+    match lookup () with
+    | Ok (_, o) -> Session.cache_outcome_name o
+    | Error e -> Alcotest.fail (Verrors.to_string e)
+  in
+  Alcotest.(check string) "next lookup rebuilds" "miss" (outcome ());
+  Alcotest.(check string) "then hits" "hit" (outcome ())
+
 let test_handlers_warm_run () =
   (* A warm-opted SA run: the first solve is cold (no hint yet) and
      banks its assignment; the second finds the hint, quenches from it,
@@ -506,12 +577,12 @@ let test_handlers_warm_run () =
   in
   let meta_cold, _body_cold = run () in
   Alcotest.(check string) "first warm-opted run solves cold" "miss"
-    (Handlers.cache_outcome_name meta_cold.Handlers.cache);
+    (Session.cache_outcome_name meta_cold.Handlers.cache);
   Alcotest.(check int) "cold solve banked its assignment" 1
     (Session.stats session).Session.warm_stores;
   let meta_warm, body_warm = run () in
   Alcotest.(check string) "second run quenches from the bank" "warm"
-    (Handlers.cache_outcome_name meta_warm.Handlers.cache);
+    (Session.cache_outcome_name meta_warm.Handlers.cache);
   (match Json.member "quality" body_warm with
   | Some q -> (
     match Option.bind (Json.member "skew_ps" q) Json.float_value with
@@ -524,7 +595,7 @@ let test_handlers_warm_run () =
      bank: warm is strictly opt-in. *)
   let meta_off, _ = run ~warm:false () in
   Alcotest.(check string) "warm=false never quenches" "hit"
-    (Handlers.cache_outcome_name meta_off.Handlers.cache)
+    (Session.cache_outcome_name meta_off.Handlers.cache)
 
 (* ---- single-flight registry --------------------------------------- *)
 
@@ -592,12 +663,59 @@ let temp_address () =
        (Printf.sprintf "wm-%d-%d.sock" (Unix.getpid ())
           (Atomic.fetch_and_add next_sock 1)))
 
+(* Every test daemon writes a drain report and an access log (a temp one
+   unless the test reads its own), and after drain the two must agree:
+   each status's drain-report counter equals the number of access-log
+   lines with that status, and [requests_coalesced] the lines answered
+   from another request's solve. *)
+let drain_counters =
+  [ ("status", "ok", "requests_served");
+    ("status", "error", "request_errors");
+    ("status", "rejected", "requests_rejected");
+    ("status", "expired", "requests_expired");
+    ("status", "abandoned", "requests_abandoned");
+    ("cache", "coalesced", "requests_coalesced") ]
+
+let check_drain_accounting ~report ~access_log =
+  let lines =
+    List.map
+      (fun line ->
+        match Json.of_string line with
+        | Ok j -> j
+        | Error msg -> Alcotest.failf "unparseable access line: %s" msg)
+      (read_lines access_log)
+  in
+  match Repro_obs.Report.read report with
+  | Error msg -> Alcotest.failf "drain report unreadable: %s" msg
+  | Ok r ->
+    let env = r.Repro_obs.Report.manifest.Repro_obs.Report.environment in
+    List.iter
+      (fun (field, value, key) ->
+        let logged =
+          List.length
+            (List.filter
+               (fun j ->
+                 Option.bind (Json.member field j) Json.string_value
+                 = Some value)
+               lines)
+        in
+        Alcotest.(check (option string))
+          (Printf.sprintf "%s = access-log lines with %s %s" key field value)
+          (Some (string_of_int logged))
+          (List.assoc_opt key env))
+      drain_counters
+
 let with_server ?(queue_capacity = 16) ?executors ?access_log_path ?flight_dir
-    ?idle_timeout_s ?max_line_bytes ?stall_after_s ?watchdog_period_s f =
+    ?idle_timeout_s ?max_line_bytes ?stall_after_s ?watchdog_period_s
+    ?sample_period_s f =
   let address = temp_address () in
+  let report = Filename.temp_file "wm-drain" ".json" in
+  let own_log = Filename.temp_file "wm-access" ".jsonl" in
+  let access_log = Option.value access_log_path ~default:own_log in
   let cfg =
     { (Server.default_config address) with
-      Server.queue_capacity; report_path = None; access_log_path; flight_dir }
+      Server.queue_capacity; report_path = Some report;
+      access_log_path = Some access_log; flight_dir }
   in
   let override v apply cfg =
     match v with Some v -> apply cfg v | None -> cfg
@@ -611,13 +729,25 @@ let with_server ?(queue_capacity = 16) ?executors ?access_log_path ?flight_dir
     |> override stall_after_s (fun c s -> { c with Server.stall_after_s = s })
     |> override watchdog_period_s (fun c p ->
            { c with Server.watchdog_period_s = Some p })
+    |> override sample_period_s (fun c p ->
+           { c with Server.sample_period_s = Some p })
   in
-  let t, thread = Server.serve_background cfg in
   Fun.protect
     ~finally:(fun () ->
-      Server.initiate_drain t;
-      Thread.join thread)
-    (fun () -> f address t)
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ report; own_log ])
+    (fun () ->
+      let t, thread = Server.serve_background cfg in
+      let result =
+        Fun.protect
+          ~finally:(fun () ->
+            Server.initiate_drain t;
+            Thread.join thread)
+          (fun () -> f address t)
+      in
+      check_drain_accounting ~report ~access_log;
+      result)
 
 let request_exn c req =
   match Client.request c req with
@@ -945,6 +1075,43 @@ let test_server_telemetry () =
       Alcotest.(check (list (option string)))
         "cold miss then warm hit"
         [ Some "miss"; Some "hit" ] outcomes)
+
+let test_sampler_gauges () =
+  (* The runtime sampler mirrors the rolling percentiles, per-executor
+     state and the pool busy fraction as gauges; every one of them must
+     reach the registry, even though [server.coalesced] is a counter of
+     the same registry. *)
+  Par.with_jobs 2 (fun () ->
+      with_server ~executors:1 ~sample_period_s:0.02 (fun address _t ->
+          with_client address (fun c ->
+              let run =
+                Protocol.Run
+                  { opts = Protocol.default_opts ~benchmark:"s13207";
+                    algorithm = Flow.Peakmin; warm = false }
+              in
+              ignore (request_exn c run);
+              ignore (request_exn c run);
+              Thread.delay 0.1;
+              let mj = request_exn c (Protocol.Metrics Protocol.Json_snapshot) in
+              let names =
+                match get [ "metrics" ] mj.Protocol.body with
+                | Some (Json.List ms) ->
+                  List.filter_map
+                    (fun m -> Option.bind (Json.member "name" m) Json.string_value)
+                    ms
+                | _ -> Alcotest.fail "json metrics snapshot missing"
+              in
+              List.iter
+                (fun gauge ->
+                  Alcotest.(check bool) (gauge ^ " exported") true
+                    (List.mem gauge names))
+                [ "server.rolling_latency_p50_ms";
+                  "server.rolling_latency_p95_ms";
+                  "server.rolling_latency_p99_ms";
+                  "server.rolling_throughput_rps";
+                  "server.executor0_busy_frac";
+                  "server.executor0_requests";
+                  "par.pool_busy_frac" ])))
 
 (* ---- the bench-serve load generator ------------------------------- *)
 
@@ -1514,6 +1681,10 @@ let () =
             test_session_per_shard_eviction;
           Alcotest.test_case "key digests pinned" `Quick
             test_session_key_digests_pinned;
+          Alcotest.test_case "built once per key" `Quick
+            test_session_built_once;
+          Alcotest.test_case "failed build not memoized" `Quick
+            test_session_failed_build_not_memoized;
           Alcotest.test_case "warm-start store" `Quick
             test_session_warm_store;
           Alcotest.test_case "warm-start run" `Quick
@@ -1532,6 +1703,7 @@ let () =
           Alcotest.test_case "backpressure" `Slow test_server_backpressure;
           Alcotest.test_case "coalescing" `Slow test_server_coalescing;
           Alcotest.test_case "telemetry" `Quick test_server_telemetry;
+          Alcotest.test_case "sampler gauges" `Quick test_sampler_gauges;
           Alcotest.test_case "fault seams" `Slow test_server_survives_faults ] );
       ( "resilience",
         [ Alcotest.test_case "deadline flight triage" `Quick
