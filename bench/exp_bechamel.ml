@@ -24,10 +24,28 @@ let make_workload () =
   in
   (ctx, table, avail)
 
+(* The first zone of the same tree as a Warburton instance at the
+   default parameters: 158 slots, so 158 objectives per label — the
+   regime where per-label ε-grid work shows, unlike the 32-slot workload
+   above. *)
+let default_zone_graph (ctx : Context.t) =
+  let ctx =
+    Context.create ~params:Context.default_params ctx.Context.tree
+      ~cells:(Flow.leaf_library ())
+  in
+  let cls = List.hd ctx.Context.classes in
+  let table = ctx.Context.tables.(0) in
+  let avail =
+    Array.map (fun row -> cls.Context.avail.(row)) table.Noise_table.sink_rows
+  in
+  (ctx.Context.params, fst (Repro_core.Clk_wavemin.to_mosp table ~avail))
+
 (* Micro-kernels introduced by the flat-array rewrite: the dominance
-   filter, in-place PWL sampling, and the candidate-waveform memo. *)
+   filter, in-place PWL sampling, the candidate-waveform memo, and the
+   Warburton label kernel at full slot count. *)
 let kernel_tests ctx =
   let test name f = Test.make ~name (Staged.stage f) in
+  let params, zone_graph = default_zone_graph ctx in
   (* Synthetic Pareto frontier: 256 six-dimensional labels, the size
      regime where the solver still runs the exact dominance filter. *)
   let rng = Repro_util.Rng.create ~seed:7 in
@@ -73,7 +91,10 @@ let kernel_tests ctx =
           Pwl.add_into fall ~times ~into:buf);
       test "Noise_table.build (cold cache)" (fun () ->
           build (Waveforms.create_cache ()));
-      test "Noise_table.build (warm cache)" (fun () -> build warm_cache) ]
+      test "Noise_table.build (warm cache)" (fun () -> build warm_cache);
+      test "Warburton.solve_min_max (158 slots)" (fun () ->
+          Repro_mosp.Warburton.solve_min_max ~epsilon:params.Context.epsilon
+            ~max_labels:params.Context.max_labels zone_graph) ]
 
 (* The annealer's core claim, measured: one move evaluated incrementally
    (subtract the old candidate row, add the new one, peak over slots —

@@ -21,8 +21,9 @@ val pareto_paths :
     returned label lists the selected option per row, last row first;
     costs include the dest arc.  Defaults: [epsilon = 0.01],
     [max_labels = 20_000] (a hard safety cap per row; when it trips, the
-    labels with the smallest maximum component are kept, which preserves
-    the min-max use case).
+    labels whose cost plus the per-component lower bound of any
+    completion has the smallest maximum are kept, which preserves the
+    min-max use case).
     @raise Invalid_argument if [epsilon < 0] or [max_labels < 1]. *)
 
 val pareto_paths_capped :
@@ -31,8 +32,9 @@ val pareto_paths_capped :
     [max_labels] safety cap truncated any row's label set — in which
     case the ε-approximation guarantee no longer holds and the result
     must be treated as heuristic.  The truncation is also counted in the
-    ["warburton.labels_capped"] metric and logged (once per solve) at
-    warning level. *)
+    ["warburton.labels_capped"] metric; the first truncation in the
+    process is logged at warning level (exactly once, even with zone
+    solves running in parallel), later ones at debug level. *)
 
 type solution = {
   choices : int array;  (** Selected option per row, row order. *)

@@ -201,6 +201,18 @@ let instance_gen =
       let* seed = int_range 0 10000 in
       return (rows, dim, seed))
 
+(* Oracle instances: up to 6 rows of up to 4 options (4096 paths, well
+   under the default label cap, so no row is ever truncated), in as
+   many objectives as a real zone (158 slots). *)
+let oracle_gen =
+  QCheck.make
+    ~print:(fun (rows, dim, seed) -> Printf.sprintf "rows=%d dim=%d seed=%d" rows dim seed)
+    QCheck.Gen.(
+      let* rows = int_range 1 6 in
+      let* dim = oneof [ int_range 1 8; oneofl [ 40; 158 ] ] in
+      let* seed = int_range 0 10000 in
+      return (rows, dim, seed))
+
 let build_instance (rows, dim, seed) =
   let rng = Repro_util.Rng.create ~seed in
   let options =
@@ -214,11 +226,24 @@ let build_instance (rows, dim, seed) =
 
 let prop_exact_matches_exhaustive =
   QCheck.Test.make ~name:"epsilon=0 matches exhaustive min-max" ~count:100
-    instance_gen (fun params ->
+    oracle_gen (fun params ->
       let g = build_instance params in
       let a = Warburton.solve_min_max ~epsilon:0.0 g in
       let b = Warburton.exhaustive_min_max g in
       Float.abs (a.Warburton.objective -. b.Warburton.objective) < 1e-6)
+
+let prop_epsilon_within_exhaustive =
+  QCheck.Test.make ~name:"epsilon>0 within (1+epsilon) of exhaustive min-max"
+    ~count:100
+    (QCheck.pair oracle_gen (QCheck.oneofl [ 0.01; 0.05; 0.5; 5.0 ]))
+    (fun (params, epsilon) ->
+      let g = build_instance params in
+      let a = Warburton.solve_min_max ~epsilon g in
+      let b = Warburton.exhaustive_min_max g in
+      (not a.Warburton.capped)
+      && a.Warburton.objective >= b.Warburton.objective -. 1e-6
+      && a.Warburton.objective
+         <= ((1.0 +. epsilon) *. b.Warburton.objective) +. 1e-6)
 
 let prop_solution_cost_consistent =
   QCheck.Test.make ~name:"reported cost equals path cost" ~count:100 instance_gen
@@ -227,6 +252,285 @@ let prop_solution_cost_consistent =
       let s = Warburton.solve_min_max g in
       let c = Layered.path_cost g ~choices:s.Warburton.choices in
       Array.for_all2 (fun a b -> Float.abs (a -. b) < 1e-6) c s.Warburton.cost)
+
+(* ------------------------------------------------------------------ *)
+(* Reference kernel                                                    *)
+
+(* The label DP restated naively, in the shape of the earlier
+   string-keyed kernel: list extension (label-major, choice-minor), an ε-grid prune on
+   packed byte-string cell keys kept in first-seen cell order (smallest
+   cached max wins a cell, the first seen on ties), dominance when
+   dim <= 8 and at most 256 labels, and a cap ranked by
+   (projection, extension index).  Every float is computed in the same
+   order as the kernel, so the two must agree bit for bit. *)
+type ref_label = { cost : float array; max_c : float; choices : int list }
+
+let max_from_zero a = Array.fold_left (fun m v -> if v > m then v else m) 0.0 a
+
+let row_minima dim row =
+  Array.init dim (fun k ->
+      Array.fold_left (fun acc w -> Float.min acc w.(k)) infinity row)
+
+let reference_pareto ~epsilon ~max_labels graph =
+  let rows = Layered.options graph in
+  let dim = Layered.dimension graph in
+  let dest = Layered.dest_weight graph in
+  let num_rows = Array.length rows in
+  let minima = Array.map (row_minima dim) rows in
+  let deltas =
+    if epsilon = 0.0 then Array.make dim 0.0
+    else begin
+      let lb = Array.copy dest in
+      Array.iter (fun m -> Array.iteri (fun k v -> lb.(k) <- lb.(k) +. v) m) minima;
+      Array.map (fun l -> epsilon *. l /. float_of_int (num_rows + 1)) lb
+    end
+  in
+  let suffix = Array.make (num_rows + 1) dest in
+  for i = num_rows - 1 downto 0 do
+    suffix.(i) <- Array.mapi (fun k v -> v +. minima.(i).(k)) suffix.(i + 1)
+  done;
+  let dominates a b =
+    let r = ref true in
+    Array.iteri (fun d v -> if not (v <= b.cost.(d)) then r := false) a.cost;
+    !r
+  in
+  let capped = ref false in
+  let step labels row_index row =
+    let ext =
+      List.concat_map
+        (fun l ->
+          Array.to_list
+            (Array.mapi
+               (fun c w ->
+                 let cost = Array.mapi (fun d v -> v +. w.(d)) l.cost in
+                 { cost; max_c = max_from_zero cost; choices = c :: l.choices })
+               row))
+        labels
+    in
+    let ext = List.mapi (fun i l -> (i, l)) ext in
+    let gridded =
+      if Array.for_all (fun d -> d <= 0.0) deltas then ext
+      else begin
+        let table = Hashtbl.create 64 in
+        let order = ref [] in
+        List.iter
+          (fun ((_, l) as x) ->
+            let b = Buffer.create (8 * dim) in
+            Array.iteri
+              (fun d c ->
+                let dlt = deltas.(d) in
+                Buffer.add_int64_le b
+                  (if dlt <= 0.0 then Int64.bits_of_float c
+                   else Int64.of_float (floor (c /. dlt))))
+              l.cost;
+            let key = Buffer.contents b in
+            match Hashtbl.find_opt table key with
+            | Some (_, j) when j.max_c <= l.max_c -> ()
+            | Some _ -> Hashtbl.replace table key x
+            | None ->
+              Hashtbl.add table key x;
+              order := key :: !order)
+          ext;
+        List.rev_map (Hashtbl.find table) !order
+      end
+    in
+    let filtered =
+      if not (dim <= 8 && List.length gridded <= 256) then gridded
+      else
+        List.fold_left
+          (fun kept ((_, l) as x) ->
+            if List.exists (fun (_, k) -> k.max_c <= l.max_c && dominates k l) kept
+            then kept
+            else
+              List.filter
+                (fun (_, k) -> not (l.max_c <= k.max_c && dominates l k))
+                kept
+              @ [ x ])
+          [] gridded
+    in
+    if List.length filtered <= max_labels then List.map snd filtered
+    else begin
+      capped := true;
+      let remaining = suffix.(row_index + 1) in
+      filtered
+      |> List.map (fun (i, l) ->
+             (max_from_zero (Array.mapi (fun d v -> v +. remaining.(d)) l.cost), i, l))
+      |> List.sort (fun (a, ia, _) (b, ib, _) ->
+             match Float.compare a b with 0 -> Int.compare ia ib | c -> c)
+      |> List.filteri (fun r _ -> r < max_labels)
+      |> List.map (fun (_, _, l) -> l)
+    end
+  in
+  let start = [ { cost = Array.make dim 0.0; max_c = 0.0; choices = [] } ] in
+  let final =
+    snd
+      (Array.fold_left
+         (fun (i, labels) row -> (i + 1, step labels i row))
+         (0, start) rows)
+  in
+  let with_dest =
+    List.map
+      (fun l ->
+        { Pareto.cost = Array.mapi (fun d v -> v +. dest.(d)) l.cost;
+          choices_rev = l.choices })
+      final
+  in
+  let result =
+    if dim <= 8 && List.length with_dest <= 256 then Pareto.non_dominated with_dest
+    else with_dest
+  in
+  (result, !capped)
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* Instances built to make grid cells collide: small-integer weights
+   (or coarse floats) and options that repeat an earlier option of the
+   same row, so equal-cost prefixes reach the same cell and the
+   first-seen tie-break decides the survivor. *)
+let reference_gen =
+  QCheck.make
+    ~print:(fun (dim, rows, eps, cap, seed) ->
+      Printf.sprintf "dim=%d rows=%d epsilon=%g max_labels=%d seed=%d" dim rows
+        eps cap seed)
+    QCheck.Gen.(
+      let* dim = oneof [ int_range 1 8; oneofl [ 40; 158 ] ] in
+      let* rows = int_range 1 8 in
+      let* eps = oneofl [ 0.0; 0.01; 0.5; 5.0 ] in
+      let* cap = oneofl [ 1; 7; 400 ] in
+      let* seed = int_range 0 100_000 in
+      return (dim, rows, eps, cap, seed))
+
+let build_colliding (dim, rows, _, _, seed) =
+  let rng = Repro_util.Rng.create ~seed in
+  let integral = Repro_util.Rng.bool rng in
+  let value () =
+    if integral then float_of_int (Repro_util.Rng.int rng ~bound:4)
+    else Repro_util.Rng.float rng ~bound:50.0
+  in
+  let options =
+    Array.init rows (fun _ ->
+        let k = 1 + Repro_util.Rng.int rng ~bound:6 in
+        let row = Array.make k [||] in
+        for c = 0 to k - 1 do
+          row.(c) <-
+            (if c > 0 && Repro_util.Rng.int rng ~bound:3 = 0 then
+               Array.copy row.(Repro_util.Rng.int rng ~bound:c)
+             else Array.init dim (fun _ -> value ()))
+        done;
+        row)
+  in
+  let dest = Array.init dim (fun _ -> value ()) in
+  Layered.create ~options ~dest_weight:dest
+
+let labels_agree (got, got_capped) (want, want_capped) =
+  got_capped = want_capped
+  && List.length got = List.length want
+  && List.for_all2
+       (fun (a : Pareto.label) (b : Pareto.label) ->
+         same_bits a.Pareto.cost b.Pareto.cost
+         && a.Pareto.choices_rev = b.Pareto.choices_rev)
+       got want
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"kernel matches naive reference bit for bit" ~count:300
+    reference_gen (fun ((_, _, epsilon, max_labels, _) as params) ->
+      let g = build_colliding params in
+      labels_agree
+        (Warburton.pareto_paths_capped ~epsilon ~max_labels g)
+        (reference_pareto ~epsilon ~max_labels g))
+
+(* Grid quotients far outside the range the kernel hashes inline: every
+   row offers a near-zero option, so the lower bounds (and the cell
+   sizes) are denormal or zero while other costs are ordinary or huge —
+   quotients past 2^62, infinite costs, zero-size cells.  Cells must
+   still form exactly as in the reference. *)
+let test_reference_extreme_quotients () =
+  let rng = Repro_util.Rng.create ~seed:5 in
+  for _ = 1 to 60 do
+    let dim = 1 + Repro_util.Rng.int rng ~bound:4 in
+    let value () =
+      match Repro_util.Rng.int rng ~bound:5 with
+      | 0 -> 0.0
+      | 1 -> 1e-300
+      | 2 -> 1e300
+      | _ -> float_of_int (Repro_util.Rng.int rng ~bound:3)
+    in
+    let options =
+      Array.init
+        (1 + Repro_util.Rng.int rng ~bound:5)
+        (fun _ ->
+          Array.init
+            (2 + Repro_util.Rng.int rng ~bound:3)
+            (fun c ->
+              if c = 0 then Array.init dim (fun _ -> Repro_util.Rng.pick rng [ 0.0; 1e-300 ])
+              else Array.init dim (fun _ -> value ())))
+    in
+    let g = Layered.create ~options ~dest_weight:(Array.make dim 0.0) in
+    List.iter
+      (fun (epsilon, max_labels) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "epsilon=%g max_labels=%d" epsilon max_labels)
+          true
+          (labels_agree
+             (Warburton.pareto_paths_capped ~epsilon ~max_labels g)
+             (reference_pareto ~epsilon ~max_labels g)))
+      [ (0.01, 400); (0.5, 7); (5.0, 1); (5.0, 400) ]
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Counter parity                                                      *)
+
+(* What the kernel prunes and caps on a real circuit, pinned: s13207
+   ClkWaveMin at the default parameters.  A kernel rewrite that returns
+   the same solution but prunes or caps differently changes these.  The
+   Label_row events are compared as a sorted multiset, since zone
+   solves record them from several domains at jobs > 1. *)
+let test_s13207_counter_parity () =
+  let module Metrics = Repro_obs.Metrics in
+  let module Flight = Repro_obs.Flight in
+  let module Flow = Repro_core.Flow in
+  let pruned = Metrics.counter "warburton.labels_pruned" in
+  let capped = Metrics.counter "warburton.labels_capped" in
+  let per_row = Metrics.histogram "warburton.labels_per_row" in
+  let pruned0 = Metrics.value pruned and capped0 = Metrics.value capped in
+  let rows0 = Metrics.histogram_stats per_row in
+  let was_enabled = Flight.enabled () and capacity = Flight.capacity () in
+  Flight.set_capacity 100_000;
+  Flight.set_enabled true;
+  let prepared =
+    match Flow.prepare_benchmark (Repro_cts.Benchmarks.find "s13207") with
+    | Ok p -> p
+    | Error e -> Alcotest.fail (Repro_util.Verrors.to_string e)
+  in
+  (match Flow.run prepared (Flow.Single Flow.Wavemin) with
+  | Ok _ -> ()
+  | Error (e, _) -> Alcotest.fail (Repro_util.Verrors.to_string e));
+  let rows =
+    List.filter_map
+      (fun (ev : Flight.event) ->
+        match ev.Flight.kind with
+        | Flight.Label_row { row; extended; kept; pruned; capped } ->
+          Some (Printf.sprintf "%d,%d,%d,%d,%d" row extended kept pruned capped)
+        | _ -> None)
+      (Flight.events ())
+  in
+  Flight.set_enabled was_enabled;
+  Flight.set_capacity capacity;
+  let rows1 = Metrics.histogram_stats per_row in
+  Alcotest.(check int) "labels_pruned" 0 (Metrics.value pruned - pruned0);
+  Alcotest.(check int) "labels_capped" 36966 (Metrics.value capped - capped0);
+  Alcotest.(check int) "labels_per_row count" 350
+    (rows1.Metrics.count - rows0.Metrics.count);
+  Alcotest.(check (float 0.0)) "labels_per_row sum" 29189.0
+    (rows1.Metrics.sum -. rows0.Metrics.sum);
+  Alcotest.(check int) "label_row events" 350 (List.length rows);
+  Alcotest.(check string) "label_row contents"
+    "92f5f0f3304a4a571ab37d3910d32ead"
+    (Digest.to_hex (Digest.string (String.concat ";" (List.sort compare rows))))
 
 let () =
   Alcotest.run "repro_mosp"
@@ -260,8 +564,16 @@ let () =
           Alcotest.test_case "label cap safe" `Quick test_max_labels_cap_safe;
           Alcotest.test_case "exhaustive guard" `Quick test_exhaustive_guard;
           Alcotest.test_case "invalid epsilon" `Quick test_invalid_epsilon;
+          Alcotest.test_case "reference at extreme quotients" `Quick
+            test_reference_extreme_quotients;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_exact_matches_exhaustive; prop_solution_cost_consistent ] );
+          [ prop_exact_matches_exhaustive;
+            prop_epsilon_within_exhaustive;
+            prop_solution_cost_consistent;
+            prop_matches_reference ] );
+      ( "counters",
+        [ Alcotest.test_case "s13207 ClkWaveMin parity" `Quick
+            test_s13207_counter_parity ] );
     ]
