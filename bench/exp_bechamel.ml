@@ -133,11 +133,14 @@ let sa_eval_tests table avail =
   in
   let choices = Array.copy init in
   let i = ref 0 and j = ref 0 in
+  let sites = [| 0 |] and cands = [| 0 |] in
   Test.make_grouped ~name:"sa-eval"
     [ test "delta eval per move (propose+discard)" (fun () ->
           let s, c = moves.(!i land 255) in
           incr i;
-          ignore (Eval.propose ev [| (s, c) |]);
+          sites.(0) <- s;
+          cands.(0) <- c;
+          Eval.propose ev ~sites ~cands;
           Eval.discard ev);
       test "full zone_objective per move" (fun () ->
           let s, c = moves.(!j land 255) in

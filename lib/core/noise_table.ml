@@ -226,6 +226,8 @@ let zone_objective t ~choices =
   Array.iteri
     (fun zi ci ->
       let v = t.noise.(zi).(ci) in
-      Array.iteri (fun si x -> acc.(si) <- acc.(si) +. x) v)
+      for si = 0 to Array.length v - 1 do
+        acc.(si) <- acc.(si) +. v.(si)
+      done)
     choices;
-  Array.fold_left Float.max 0.0 acc
+  Repro_util.Floats.fold_max 0.0 acc

@@ -53,70 +53,84 @@ let position t id =
 
 let is_pad t id = t.pad.(id)
 
+(* One neighbour's term of a free row: [acc +. g (x_id - x_nid)], a
+   pad neighbour counting as 0 V.  A closed top-level function so that
+   ocamlopt inlines it and [acc] stays an unboxed float. *)
+let[@inline] couple (pad : bool array) (x : float array) g xi nid acc =
+  acc +. (g *. (xi -. (if pad.(nid) then 0.0 else x.(nid))))
+
 (* y := L x where L is the grounded mesh Laplacian: pads act as Dirichlet
    nodes (row = identity), free rows are conductance-weighted degrees. *)
-let apply t x y =
-  let nx = t.nx and ny = t.ny and g = t.conductance in
+let apply t (x : float array) (y : float array) =
+  let nx = t.nx and ny = t.ny and g = t.conductance and pad = t.pad in
   for j = 0 to ny - 1 do
     for i = 0 to nx - 1 do
       let id = (j * nx) + i in
-      if t.pad.(id) then y.(id) <- x.(id)
+      if pad.(id) then y.(id) <- x.(id)
       else begin
+        let xi = x.(id) in
         let acc = ref 0.0 in
-        let couple nid =
-          acc := !acc +. (g *. (x.(id) -. (if t.pad.(nid) then 0.0 else x.(nid))))
-        in
-        if i > 0 then couple (id - 1);
-        if i < nx - 1 then couple (id + 1);
-        if j > 0 then couple (id - nx);
-        if j < ny - 1 then couple (id + nx);
+        if i > 0 then acc := couple pad x g xi (id - 1) !acc;
+        if i < nx - 1 then acc := couple pad x g xi (id + 1) !acc;
+        if j > 0 then acc := couple pad x g xi (id - nx) !acc;
+        if j < ny - 1 then acc := couple pad x g xi (id + nx) !acc;
         y.(id) <- !acc
       end
     done
   done
 
+(* Conjugate gradient; the grounded Laplacian is SPD on the free nodes
+   as long as at least one pad exists (guaranteed by create).  Written
+   as loops over local float accumulators so that an iteration
+   allocates nothing; the summation order of every dot product is the
+   index order, as in a [dot] helper, so results are unchanged bit for
+   bit.  The [x]/[r] update pass also sums [r.r] for the next step. *)
 let solve_operator t ~apply_op ~injection =
   let n = num_nodes t in
-  (* Conjugate gradient; the grounded Laplacian is SPD on the free nodes
-     as long as at least one pad exists (guaranteed by create). *)
-  let b = Array.mapi (fun i v -> if t.pad.(i) then 0.0 else v) injection in
+  let pad = t.pad in
+  let b = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    if not pad.(i) then b.(i) <- injection.(i)
+  done;
   let x = Array.make n 0.0 in
   let r = Array.copy b in
   let p = Array.copy b in
   let ap = Array.make n 0.0 in
-  let dot a c =
-    let acc = ref 0.0 in
-    for i = 0 to n - 1 do
-      acc := !acc +. (a.(i) *. c.(i))
-    done;
-    !acc
-  in
-  let rs = ref (dot r r) in
+  let rs = ref 0.0 in
+  for i = 0 to n - 1 do
+    rs := !rs +. (r.(i) *. r.(i))
+  done;
   let rs0 = !rs in
   (* Relative tolerance: the mesh is well conditioned, a few hundred
      iterations at most. *)
   let eps = Float.max 1e-30 (1e-14 *. rs0) in
   let max_iter = 4 * n in
-  let rec loop k =
-    if !rs < eps || k >= max_iter then ()
-    else begin
-      apply_op p ap;
-      let alpha = !rs /. Float.max eps (dot p ap) in
-      for i = 0 to n - 1 do
-        x.(i) <- x.(i) +. (alpha *. p.(i));
-        r.(i) <- r.(i) -. (alpha *. ap.(i))
-      done;
-      let rs' = dot r r in
-      let beta = rs' /. !rs in
-      for i = 0 to n - 1 do
-        p.(i) <- r.(i) +. (beta *. p.(i))
-      done;
-      rs := rs';
-      loop (k + 1)
-    end
-  in
-  loop 0;
-  Array.mapi (fun i v -> if t.pad.(i) then 0.0 else v) x
+  let k = ref 0 in
+  while (not (!rs < eps)) && !k < max_iter do
+    apply_op p ap;
+    let pap = ref 0.0 in
+    for i = 0 to n - 1 do
+      pap := !pap +. (p.(i) *. ap.(i))
+    done;
+    let alpha = !rs /. Float.max eps !pap in
+    let rs' = ref 0.0 in
+    for i = 0 to n - 1 do
+      x.(i) <- x.(i) +. (alpha *. p.(i));
+      let ri = r.(i) -. (alpha *. ap.(i)) in
+      r.(i) <- ri;
+      rs' := !rs' +. (ri *. ri)
+    done;
+    let beta = !rs' /. !rs in
+    for i = 0 to n - 1 do
+      p.(i) <- r.(i) +. (beta *. p.(i))
+    done;
+    rs := !rs';
+    incr k
+  done;
+  for i = 0 to n - 1 do
+    if pad.(i) then x.(i) <- 0.0
+  done;
+  x
 
 let solve t ~injection =
   if Array.length injection <> num_nodes t then
@@ -129,8 +143,10 @@ let solve_shifted t ~diag ~injection =
     invalid_arg "Grid.solve_shifted: injection length mismatch";
   if Array.length diag <> n then
     invalid_arg "Grid.solve_shifted: diag length mismatch";
-  if Array.exists (fun d -> d < 0.0) diag then
-    invalid_arg "Grid.solve_shifted: negative diagonal entry";
+  for i = 0 to n - 1 do
+    if diag.(i) < 0.0 then
+      invalid_arg "Grid.solve_shifted: negative diagonal entry"
+  done;
   let apply_op x y =
     apply t x y;
     for i = 0 to n - 1 do

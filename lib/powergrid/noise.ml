@@ -1,23 +1,32 @@
 module Pwl = Repro_waveform.Pwl
+module Floats = Repro_util.Floats
 
 type injection = { x : float; y : float; waveform : Pwl.t }
 
-let nodal_currents grid injections time =
-  let currents = Array.make (Grid.num_nodes grid) 0.0 in
-  List.iter
-    (fun inj ->
-      let node = Grid.node_at grid ~x:inj.x ~y:inj.y in
+(* The mesh node of each injection, resolved once per rail rather than
+   once per time sample. *)
+let injection_nodes grid injections =
+  Array.map (fun inj -> Grid.node_at grid ~x:inj.x ~y:inj.y) injections
+
+(* [currents] := the nodal current draw at [time], summed per node in
+   injection order. *)
+let nodal_currents_into currents ~nodes injections time =
+  Array.fill currents 0 (Array.length currents) 0.0;
+  Array.iteri
+    (fun k inj ->
+      let node = nodes.(k) in
       currents.(node) <- currents.(node) +. Pwl.eval inj.waveform time)
-    injections;
-  currents
+    injections
 
 let rail_noise_mv grid ~injections ~times =
+  let injections = Array.of_list injections in
+  let nodes = injection_nodes grid injections in
+  let currents = Array.make (Grid.num_nodes grid) 0.0 in
   Array.fold_left
     (fun worst time ->
-      let injection = nodal_currents grid injections time in
-      let drops = Grid.solve grid ~injection in
-      let peak = Array.fold_left (fun a v -> Float.max a (Float.abs v)) 0.0 drops in
-      Float.max worst peak)
+      nodal_currents_into currents ~nodes injections time;
+      let drops = Grid.solve grid ~injection:currents in
+      Floats.max worst (Floats.fold_max_abs 0.0 drops))
     0.0 times
   /. 1000.0
 

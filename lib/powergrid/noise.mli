@@ -13,6 +13,17 @@ type injection = {
   waveform : Repro_waveform.Pwl.t;  (** uA over ps on this rail. *)
 }
 
+val injection_nodes : Grid.t -> injection array -> int array
+(** The mesh node ({!Grid.node_at}) of each injection.  Positions do
+    not move over time, so callers resolve them once per rail. *)
+
+val nodal_currents_into :
+  float array -> nodes:int array -> injection array -> float -> unit
+(** [nodal_currents_into currents ~nodes injections time] overwrites
+    [currents] (one entry per mesh node) with the current drawn at
+    [time], each injection added to its node [nodes.(k)] in array
+    order. *)
+
 val rail_noise_mv :
   Grid.t -> injections:injection list -> times:float array -> float
 (** Worst voltage fluctuation (mV) on one rail: for each sample time the

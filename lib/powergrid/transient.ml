@@ -26,15 +26,6 @@ let span injections =
       | Some (a, b), Some (lo, hi) -> Some (Float.min a lo, Float.max b hi))
     None injections
 
-let nodal grid injections time =
-  let currents = Array.make (Grid.num_nodes grid) 0.0 in
-  List.iter
-    (fun (i : Noise.injection) ->
-      let node = Grid.node_at grid ~x:i.Noise.x ~y:i.Noise.y in
-      currents.(node) <- currents.(node) +. Pwl.eval i.Noise.waveform time)
-    injections;
-  currents
-
 let simulate grid ?(config = default_config) ~injections () =
   if config.dt <= 0.0 then invalid_arg "Transient.simulate: dt <= 0";
   if config.decap_ff < 0.0 then invalid_arg "Transient.simulate: decap < 0";
@@ -57,12 +48,15 @@ let simulate grid ?(config = default_config) ~injections () =
     let times =
       Array.init steps (fun k -> t0 +. (config.dt *. float_of_int k))
     in
+    let injections = Array.of_list injections in
+    let nodes = Noise.injection_nodes grid injections in
+    let rhs = Array.make n 0.0 in
     let v = ref (Array.make n 0.0) in
     let worst = ref 0.0 and worst_node = ref 0 and worst_time = ref t0 in
     let envelope =
       Array.mapi
         (fun _k time ->
-          let rhs = nodal grid injections time in
+          Noise.nodal_currents_into rhs ~nodes injections time;
           for i = 0 to n - 1 do
             if not (Grid.is_pad grid i) then
               rhs.(i) <- rhs.(i) +. (g_cap *. !v.(i))

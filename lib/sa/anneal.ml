@@ -166,7 +166,7 @@ let gen_resize rng (m : site_moves) ~current ~dist =
 (* ------------------------------------------------------------------ *)
 (* The annealing loop                                                  *)
 
-let metropolis rng ~temp ~delta =
+let[@inline] metropolis rng ~temp ~delta =
   delta <= 0.0 || Rng.float rng ~bound:1.0 < exp (-.delta /. temp)
 
 let solve ?(zone = 0) ~config problem ~tags ~init ~rng =
@@ -200,9 +200,17 @@ let solve ?(zone = 0) ~config problem ~tags ~init ~rng =
     end
     else begin
       let pick_site () = movable.(Rng.int rng ~bound:(Array.length movable)) in
-      let scratch1 = [| (0, 0) |] and scratch2 = [| (0, 0); (0, 0) |] in
-      (* Generate one proposal; returns the move kind tag (0 flip,
-         1 resize, 2 pair) and the proposed objective. *)
+      (* Move buffers, reused by every proposal. *)
+      let sites1 = [| 0 |] and cands1 = [| 0 |] in
+      let sites2 = [| 0; 0 |] and cands2 = [| 0; 0 |] in
+      let propose1 s c =
+        sites1.(0) <- s;
+        cands1.(0) <- c;
+        Eval.propose eval ~sites:sites1 ~cands:cands1
+      in
+      (* Generate one proposal and return its move kind tag (0 flip,
+         1 resize, 2 pair); the proposed objective is in [score]. *)
+      let score = Eval.score eval in
       let generate ~dist =
         let s = pick_site () in
         let current = Eval.choice eval s in
@@ -212,13 +220,12 @@ let solve ?(zone = 0) ~config problem ~tags ~init ~rng =
           let c = gen_resize rng moves.(s) ~current ~dist in
           if c = current then begin
             (* Single-member bucket: fall back to a flip. *)
-            let c = gen_flip rng moves.(s) ~current in
-            scratch1.(0) <- (s, c);
-            (0, Eval.propose eval scratch1)
+            propose1 s (gen_flip rng moves.(s) ~current);
+            0
           end
           else begin
-            scratch1.(0) <- (s, c);
-            (1, Eval.propose eval scratch1)
+            propose1 s c;
+            1
           end
         | 2 when Array.length movable > 1 ->
           let s2 = ref (pick_site ()) in
@@ -236,20 +243,22 @@ let solve ?(zone = 0) ~config problem ~tags ~init ~rng =
               gen_resize rng moves.(s2) ~current:(Eval.choice eval s2) ~dist
             else c2
           in
-          scratch2.(0) <- (s, c1);
-          scratch2.(1) <- (s2, c2);
-          (2, Eval.propose eval scratch2)
+          sites2.(0) <- s;
+          cands2.(0) <- c1;
+          sites2.(1) <- s2;
+          cands2.(1) <- c2;
+          Eval.propose eval ~sites:sites2 ~cands:cands2;
+          2
         | _ ->
           let c = gen_flip rng moves.(s) ~current in
           if c = current then begin
             (* Single-bucket site: resize instead. *)
-            let c = gen_resize rng moves.(s) ~current ~dist in
-            scratch1.(0) <- (s, c);
-            (1, Eval.propose eval scratch1)
+            propose1 s (gen_resize rng moves.(s) ~current ~dist);
+            1
           end
           else begin
-            scratch1.(0) <- (s, c);
-            (0, Eval.propose eval scratch1)
+            propose1 s c;
+            0
           end
       in
       (* Calibrate T0 from probe proposals (all discarded): hot enough
@@ -261,9 +270,9 @@ let solve ?(zone = 0) ~config problem ~tags ~init ~rng =
           let sum = ref 0.0 and count = ref 0 in
           let cur = Eval.objective eval in
           for _ = 1 to config.warmup do
-            let _, obj = generate ~dist:max_bucket in
+            ignore (generate ~dist:max_bucket);
             Eval.discard eval;
-            let d = obj -. cur in
+            let d = score.proposed -. cur in
             if d > 0.0 then begin
               sum := !sum +. d;
               incr count
@@ -293,20 +302,21 @@ let solve ?(zone = 0) ~config problem ~tags ~init ~rng =
           incr stages;
           let stage_accepted = ref 0 in
           for _ = 1 to stage_moves do
-            let kind, obj = generate ~dist:(Schedule.distance sched) in
+            let kind = generate ~dist:(Schedule.distance sched) in
             incr proposed;
             (match kind with
             | 0 -> incr flips
             | 1 -> incr resizes
             | _ -> incr pairs);
-            let delta = obj -. Eval.objective eval in
+            let obj = score.proposed in
+            let delta = obj -. score.committed in
             if metropolis rng ~temp:(Schedule.temperature sched) ~delta then begin
               Eval.commit eval;
               incr accepted;
               incr stage_accepted;
               if obj < !best_obj then begin
                 best_obj := obj;
-                Array.blit (Eval.choices eval) 0 best 0 n
+                Eval.blit_choices eval best
               end
             end
             else Eval.discard eval
@@ -330,19 +340,23 @@ let solve ?(zone = 0) ~config problem ~tags ~init ~rng =
           then frozen := true
         done
       in
+      (* Move [eval] to the choice vector [target], one committed
+         single-site move per differing site. *)
+      let install target =
+        Array.iteri
+          (fun s c ->
+            if Eval.choice eval s <> c then begin
+              propose1 s c;
+              Eval.commit eval
+            end)
+          target
+      in
       run_stages ();
       for restart = 1 to config.restarts do
         (* Reheat from the best state seen so far: each restart is
            cooler than the last, a polish pass rather than a fresh
            scramble. *)
-        Array.iteri
-          (fun s c ->
-            if Eval.choice eval s <> c then begin
-              scratch1.(0) <- (s, c);
-              ignore (Eval.propose eval scratch1);
-              Eval.commit eval
-            end)
-          best;
+        install best;
         ignore (Eval.recompute eval);
         Schedule.reheat sched
           ~factor:(0.3 /. float_of_int restart /. float_of_int restart);
@@ -354,14 +368,7 @@ let solve ?(zone = 0) ~config problem ~tags ~init ~rng =
         run_stages ()
       done;
       (* Exact final objective of the best state, fully recomputed. *)
-      Array.iteri
-        (fun s c ->
-          if Eval.choice eval s <> c then begin
-            scratch1.(0) <- (s, c);
-            ignore (Eval.propose eval scratch1);
-            Eval.commit eval
-          end)
-        best;
+      install best;
       let final_objective = Eval.recompute eval in
       ( best,
         final_objective,

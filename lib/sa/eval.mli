@@ -15,7 +15,20 @@
     proposal while {!commit} swaps the two buffers.  Rejected moves
     therefore perturb nothing; accepted moves accumulate float error at
     most linearly in the number of commits, bounded by the periodic
-    exact refresh ([refresh_every]). *)
+    exact refresh ([refresh_every]).
+
+    {b No allocation.}  {!propose}, {!commit}, {!discard} and
+    {!blit_choices} allocate nothing on the OCaml heap (the periodic
+    refresh included): moves come in as caller-owned [int] arrays, the
+    pending proposal lives in arrays preallocated by {!create}, and the
+    two objectives live in the flat {!score} record, so reading them
+    does not box either.  [test/test_sa.ml] guards this with a
+    [Gc.minor_words] delta.
+
+    {b Rounding.}  Per slot, the moves of a proposal apply in order as
+    [(acc -. old) +. new], and the objective is the left fold of
+    [Float.max] from [0.0] over the slots: every result is bit-identical
+    to the blit / per-move delta / fold kernel this module replaced. *)
 
 type problem = {
   rows : float array array array;
@@ -33,6 +46,12 @@ type t
 (** Mutable evaluation state: current choices, the committed slot
     accumulator, and the proposal scratch buffer. *)
 
+type score = private { mutable committed : float; mutable proposed : float }
+(** The committed objective and the pending proposal's objective
+    ([proposed] is meaningful only while a proposal is pending).  An
+    all-float record is stored flat, so the annealer reads these
+    without boxing. *)
+
 val create : ?refresh_every:int -> problem -> init:int array -> t
 (** [create problem ~init] starts from [init.(s)] (one {e available}
     candidate index per site).  [refresh_every] (default 1024) is the
@@ -49,17 +68,31 @@ val choice : t -> int -> int
 val choices : t -> int array
 (** A fresh copy of the current choice vector. *)
 
+val blit_choices : t -> int array -> unit
+(** [blit_choices t into] copies the current choice vector into [into].
+    @raise Invalid_argument unless [into] has {!num_sites} entries. *)
+
+val score : t -> score
+(** The live score record of [t] (updated in place by every call). *)
+
 val objective : t -> float
 (** The committed objective: max over slots of the accumulated waveform
-    (never below 0, matching [zone_objective]). *)
+    (never below 0, matching [zone_objective]).  Same as
+    [(score t).committed]. *)
 
-val propose : t -> (int * int) array -> float
-(** [propose t moves] evaluates the objective after applying the
-    [(site, candidate)] reassignments, without committing anything.
-    Returns the would-be objective.  A second [propose] before
-    {!commit}/{!discard} replaces the pending proposal.
-    @raise Invalid_argument on an out-of-range site/candidate, an
-    unavailable candidate, or a site repeated within [moves]. *)
+val propose : t -> sites:int array -> cands:int array -> unit
+(** [propose t ~sites ~cands] evaluates the objective after moving each
+    site [sites.(i)] to candidate [cands.(i)], without committing
+    anything, and stores it in [(score t).proposed].  A second [propose]
+    before {!commit}/{!discard} replaces the pending proposal.
+
+    Every move is validated before any state is touched.  A raise
+    leaves no proposal pending (an earlier one is dropped too), so a
+    following {!commit} raises instead of installing sums that do not
+    match the choices.
+    @raise Invalid_argument when [sites] and [cands] differ in length,
+    on an out-of-range site/candidate, an unavailable candidate, or a
+    site repeated within [sites]. *)
 
 val commit : t -> unit
 (** Accept the pending proposal: O(1) buffer swap plus the choice

@@ -92,7 +92,7 @@ let sum ws =
   in
   reduce ws
 
-let peak w = Array.fold_left Float.max 0.0 w.values
+let peak w = Repro_util.Floats.fold_max 0.0 w.values
 
 let peak_time w =
   let best = ref 0.0 and best_t = ref 0.0 in

@@ -159,6 +159,190 @@ let prop_drop_nonnegative_for_nonneg_injection =
       let v = Grid.solve g ~injection:inj in
       Array.for_all (fun d -> d >= -1e-6) v)
 
+(* ------------------------------------------------------------------ *)
+(* Bit identity with a naive CG                                        *)
+
+(* The closure-and-ref conjugate gradient that [Grid.solve_operator]
+   replaced, kept as the reference: the loop form must give the same
+   bits.  The mesh layout (node [j * nx + i], pads from [Grid.is_pad],
+   conductance [1 / segment_res]) is rebuilt from the public API. *)
+module Naive = struct
+  let apply g ~nx ~ny ~cond x y =
+    for j = 0 to ny - 1 do
+      for i = 0 to nx - 1 do
+        let id = (j * nx) + i in
+        if Grid.is_pad g id then y.(id) <- x.(id)
+        else begin
+          let acc = ref 0.0 in
+          let couple nid =
+            acc := !acc +. (cond *. (x.(id) -. (if Grid.is_pad g nid then 0.0 else x.(nid))))
+          in
+          if i > 0 then couple (id - 1);
+          if i < nx - 1 then couple (id + 1);
+          if j > 0 then couple (id - nx);
+          if j < ny - 1 then couple (id + nx);
+          y.(id) <- !acc
+        end
+      done
+    done
+
+  let solve_operator g ~apply_op ~injection =
+    let n = Grid.num_nodes g in
+    let b = Array.mapi (fun i v -> if Grid.is_pad g i then 0.0 else v) injection in
+    let x = Array.make n 0.0 in
+    let r = Array.copy b in
+    let p = Array.copy b in
+    let ap = Array.make n 0.0 in
+    let dot a c =
+      let acc = ref 0.0 in
+      for i = 0 to n - 1 do
+        acc := !acc +. (a.(i) *. c.(i))
+      done;
+      !acc
+    in
+    let rs = ref (dot r r) in
+    let rs0 = !rs in
+    let eps = Float.max 1e-30 (1e-14 *. rs0) in
+    let max_iter = 4 * n in
+    let rec loop k =
+      if !rs < eps || k >= max_iter then ()
+      else begin
+        apply_op p ap;
+        let alpha = !rs /. Float.max eps (dot p ap) in
+        for i = 0 to n - 1 do
+          x.(i) <- x.(i) +. (alpha *. p.(i));
+          r.(i) <- r.(i) -. (alpha *. ap.(i))
+        done;
+        let rs' = dot r r in
+        let beta = rs' /. !rs in
+        for i = 0 to n - 1 do
+          p.(i) <- r.(i) +. (beta *. p.(i))
+        done;
+        rs := rs';
+        loop (k + 1)
+      end
+    in
+    loop 0;
+    Array.mapi (fun i v -> if Grid.is_pad g i then 0.0 else v) x
+
+  let solve g ~nx ~ny ~cond ~injection =
+    solve_operator g ~apply_op:(apply g ~nx ~ny ~cond) ~injection
+
+  let solve_shifted g ~nx ~ny ~cond ~diag ~injection =
+    let apply_op x y =
+      apply g ~nx ~ny ~cond x y;
+      for i = 0 to Grid.num_nodes g - 1 do
+        if not (Grid.is_pad g i) then y.(i) <- y.(i) +. (diag.(i) *. x.(i))
+      done
+    in
+    solve_operator g ~apply_op ~injection
+
+  let rail_noise_mv g ~nx ~ny ~cond ~injections ~times =
+    Array.fold_left
+      (fun worst time ->
+        let injection = Array.make (Grid.num_nodes g) 0.0 in
+        List.iter
+          (fun (inj : Noise.injection) ->
+            let node = Grid.node_at g ~x:inj.Noise.x ~y:inj.Noise.y in
+            injection.(node) <- injection.(node) +. Pwl.eval inj.Noise.waveform time)
+          injections;
+        let drops = solve g ~nx ~ny ~cond ~injection in
+        let peak = Array.fold_left (fun a v -> Float.max a (Float.abs v)) 0.0 drops in
+        Float.max worst peak)
+      0.0 times
+    /. 1000.0
+end
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* Meshes: the default 16 x 16 of the golden evaluation, plus small
+   and non-square ones with other pad strides and resistances. *)
+let meshes =
+  [ (16, 16, 0.5, 8); (2, 2, 0.5, 8); (3, 5, 0.25, 2); (7, 4, 1.5, 3);
+    (9, 9, 0.5, 4) ]
+
+let gen_case =
+  QCheck.Gen.(
+    pair (int_bound (List.length meshes - 1)) (int_bound 1_000_000))
+
+let random_injection rng n =
+  (* Sparse non-negative draws plus a few negative entries (Gnd bounce
+     and the transient's capacitor term make signed right-hand sides). *)
+  Array.init n (fun _ ->
+      match Repro_util.Rng.int rng ~bound:4 with
+      | 0 -> Repro_util.Rng.float rng ~bound:5000.0
+      | 1 -> -.Repro_util.Rng.float rng ~bound:50.0
+      | _ -> 0.0)
+
+let prop_solve_matches_naive =
+  QCheck.Test.make ~name:"Grid.solve/solve_shifted == naive CG bit for bit"
+    ~count:60
+    (QCheck.make gen_case)
+    (fun (m, seed) ->
+      let nx, ny, segment_res, pad_stride = List.nth meshes m in
+      let g = Grid.create ~die_side:100.0 ~nx ~ny ~segment_res ~pad_stride () in
+      let cond = 1.0 /. segment_res in
+      let rng = Repro_util.Rng.create ~seed in
+      let n = Grid.num_nodes g in
+      let injection = random_injection rng n in
+      let diag = Array.init n (fun _ -> Repro_util.Rng.float rng ~bound:0.5) in
+      same_bits (Grid.solve g ~injection) (Naive.solve g ~nx ~ny ~cond ~injection)
+      && same_bits
+           (Grid.solve_shifted g ~diag ~injection)
+           (Naive.solve_shifted g ~nx ~ny ~cond ~diag ~injection))
+
+let prop_rail_noise_matches_naive =
+  QCheck.Test.make ~name:"rail_noise_mv == naive per-sample fold bit for bit"
+    ~count:20
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Repro_util.Rng.create ~seed in
+      let g = Grid.create ~die_side:100.0 () in
+      let injections =
+        List.init
+          (1 + Repro_util.Rng.int rng ~bound:12)
+          (fun _ ->
+            {
+              Noise.x = Repro_util.Rng.float rng ~bound:100.0;
+              y = Repro_util.Rng.float rng ~bound:100.0;
+              waveform =
+                pulse (Repro_util.Rng.float rng ~bound:60.0)
+                  (Repro_util.Rng.float rng ~bound:3000.0);
+            })
+      in
+      let times = Noise.default_times injections ~count:12 in
+      let got = Noise.rail_noise_mv g ~injections ~times in
+      let want = Naive.rail_noise_mv g ~nx:16 ~ny:16 ~cond:2.0 ~injections ~times in
+      Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float want))
+
+(* ------------------------------------------------------------------ *)
+(* Allocation guard                                                    *)
+
+let solve_words g injection =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Grid.solve g ~injection));
+  Gc.minor_words () -. before
+
+(* A zero injection stops CG before its first iteration; a spread-out
+   one runs it for dozens.  Both solves must allocate the same: the
+   per-solve work arrays, nothing per iteration. *)
+let test_solve_allocation_flat_in_iterations () =
+  let g = Grid.create ~die_side:100.0 () in
+  let n = Grid.num_nodes g in
+  let rng = Repro_util.Rng.create ~seed:5 in
+  let busy = Array.init n (fun _ -> Repro_util.Rng.float rng ~bound:1000.0) in
+  let idle = Array.make n 0.0 in
+  ignore (solve_words g busy);
+  let w_idle = solve_words g idle and w_busy = solve_words g busy in
+  if w_busy > w_idle +. 8.0 then
+    Alcotest.failf
+      "Grid.solve allocated %.0f minor words with CG iterations, %.0f without"
+      w_busy w_idle
+
 let () =
   Alcotest.run "repro_powergrid"
     [
@@ -175,6 +359,8 @@ let () =
           Alcotest.test_case "linearity" `Quick test_solve_linear;
           Alcotest.test_case "effective resistance" `Quick
             test_effective_resistance_center_vs_edge;
+          Alcotest.test_case "allocation flat in CG iterations" `Quick
+            test_solve_allocation_flat_in_iterations;
         ] );
       ( "noise",
         [
@@ -190,5 +376,6 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_drop_nonnegative_for_nonneg_injection ] );
+          [ prop_drop_nonnegative_for_nonneg_injection; prop_solve_matches_naive;
+            prop_rail_noise_matches_naive ] );
     ]

@@ -36,6 +36,12 @@ let context ?(params = small_params) () = Context.create ~params (tree ()) ~cell
 (* ------------------------------------------------------------------ *)
 (* Eval unit tests                                                     *)
 
+(* [(site, candidate)] moves, proposed through the array API; returns
+   the proposed objective. *)
+let propose e moves =
+  Eval.propose e ~sites:(Array.map fst moves) ~cands:(Array.map snd moves);
+  (Eval.score e).Eval.proposed
+
 let tiny_problem () =
   (* 2 sites x 2 candidates x 3 slots, all available. *)
   {
@@ -53,7 +59,7 @@ let test_eval_objective () =
 
 let test_eval_propose_commit () =
   let e = Eval.create (tiny_problem ()) ~init:[| 0; 0 |] in
-  let obj = Eval.propose e [| (0, 1) |] in
+  let obj = propose e [| (0, 1) |] in
   (* acc' = [2.5; 7.5; 0.5] *)
   Alcotest.(check (float 1e-9)) "proposed objective" 7.5 obj;
   (* Not committed yet: the committed state is untouched. *)
@@ -66,7 +72,7 @@ let test_eval_discard_is_exact_undo () =
   let e = Eval.create (tiny_problem ()) ~init:[| 0; 0 |] in
   let before = Eval.objective e in
   for _ = 1 to 50 do
-    ignore (Eval.propose e [| (0, 1); (1, 1) |]);
+    ignore (propose e [| (0, 1); (1, 1) |]);
     Eval.discard e
   done;
   (* Rejected moves never touch the accumulator: bit-equal, not just
@@ -80,13 +86,29 @@ let test_eval_rejects_unavailable () =
   let e = Eval.create p ~init:[| 0; 0 |] in
   Alcotest.check_raises "unavailable"
     (Invalid_argument "Eval.propose: candidate not available") (fun () ->
-      ignore (Eval.propose e [| (0, 1) |]))
+      ignore (propose e [| (0, 1) |]))
 
 let test_eval_rejects_repeated_site () =
   let e = Eval.create (tiny_problem ()) ~init:[| 0; 0 |] in
   Alcotest.check_raises "repeated"
     (Invalid_argument "Eval.propose: repeated site") (fun () ->
-      ignore (Eval.propose e [| (0, 1); (0, 0) |]))
+      ignore (propose e [| (0, 1); (0, 0) |]))
+
+(* A raising propose must not leave an earlier proposal pending: the
+   commit that follows would install sums that do not match the
+   choices. *)
+let test_eval_bad_propose_drops_pending () =
+  let e = Eval.create (tiny_problem ()) ~init:[| 0; 0 |] in
+  ignore (propose e [| (0, 1) |]);
+  Alcotest.check_raises "bad propose"
+    (Invalid_argument "Eval.propose: site out of range") (fun () ->
+      ignore (propose e [| (1, 1); (7, 0) |]));
+  Alcotest.check_raises "nothing pending"
+    (Invalid_argument "Eval.commit: no pending proposal") (fun () ->
+      Eval.commit e);
+  Alcotest.(check (array int)) "choices untouched" [| 0; 0 |] (Eval.choices e);
+  let obj = Eval.objective e in
+  Alcotest.(check bool) "objective == recompute" true (obj = Eval.recompute e)
 
 (* ------------------------------------------------------------------ *)
 (* The delta property: incremental == full recompute                   *)
@@ -149,7 +171,7 @@ let delta_matches_recompute seed =
            (s2, random_available rng problem.Eval.avail.(s2)) |]
       end
     in
-    ignore (Eval.propose e moves);
+    ignore (propose e moves);
     if Rng.bool rng then Eval.commit e else Eval.discard e
   done;
   let incremental = Eval.objective e in
@@ -346,6 +368,186 @@ let test_portfolio_deterministic () =
   Alcotest.(check string) "same winner at jobs 1 and 4" w1 w4;
   Alcotest.(check (float 0.0)) "same peak at jobs 1 and 4" p1 p4
 
+(* ------------------------------------------------------------------ *)
+(* Bit identity with the unfused kernel                                *)
+
+(* The blit / per-move delta / [Array.fold_left Float.max] kernel that
+   the fused [Eval.propose] replaced, kept as the reference model:
+   every objective it yields must match Eval's bit for bit. *)
+module Unfused = struct
+  type t = {
+    prob : Eval.problem;
+    choices : int array;
+    mutable acc : float array;
+    mutable scratch : float array;
+    mutable obj : float;
+    mutable pending : ((int * int) array * float) option;
+    mutable commits : int;
+    refresh_every : int;
+  }
+
+  let recompute_into (prob : Eval.problem) choices ~into =
+    let slots = Array.length prob.Eval.base in
+    Array.blit prob.Eval.base 0 into 0 slots;
+    Array.iteri
+      (fun s c ->
+        let row = prob.Eval.rows.(s).(c) in
+        for k = 0 to slots - 1 do
+          into.(k) <- into.(k) +. row.(k)
+        done)
+      choices;
+    Array.fold_left Float.max 0.0 into
+
+  let create ~refresh_every prob ~init =
+    let slots = Array.length prob.Eval.base in
+    let acc = Array.make slots 0.0 in
+    let obj = recompute_into prob init ~into:acc in
+    { prob; choices = Array.copy init; acc; scratch = Array.make slots 0.0;
+      obj; pending = None; commits = 0; refresh_every }
+
+  let propose t moves =
+    let slots = Array.length t.prob.Eval.base in
+    Array.blit t.acc 0 t.scratch 0 slots;
+    Array.iter
+      (fun (s, c) ->
+        let old_row = t.prob.Eval.rows.(s).(t.choices.(s)) in
+        let new_row = t.prob.Eval.rows.(s).(c) in
+        for slot = 0 to slots - 1 do
+          t.scratch.(slot) <- t.scratch.(slot) -. old_row.(slot) +. new_row.(slot)
+        done)
+      moves;
+    let obj = Array.fold_left Float.max 0.0 t.scratch in
+    t.pending <- Some (moves, obj);
+    obj
+
+  let commit t =
+    match t.pending with
+    | None -> assert false
+    | Some (moves, obj) ->
+      Array.iter (fun (s, c) -> t.choices.(s) <- c) moves;
+      let acc = t.acc in
+      t.acc <- t.scratch;
+      t.scratch <- acc;
+      t.obj <- obj;
+      t.pending <- None;
+      t.commits <- t.commits + 1;
+      if t.commits mod t.refresh_every = 0 then
+        t.obj <- recompute_into t.prob t.choices ~into:t.acc
+end
+
+let bits = Int64.bits_of_float
+
+(* Random slot values, with some all-zero slots and exact zeros so that
+   ties in the max (including +0 against -0 after cancellation) are
+   exercised too. *)
+let random_problem_with_zeros rng =
+  let p = random_problem rng in
+  let slots = Array.length p.Eval.base in
+  let zero_slot = Rng.int rng ~bound:slots in
+  Array.iter
+    (Array.iter (fun row ->
+         row.(zero_slot) <- 0.0;
+         if Rng.int rng ~bound:4 = 0 then
+           row.(Rng.int rng ~bound:slots) <- 0.0))
+    p.Eval.rows;
+  p.Eval.base.(zero_slot) <- 0.0;
+  p
+
+let fused_matches_unfused seed =
+  let rng = Rng.create ~seed in
+  let problem = random_problem_with_zeros rng in
+  let init = Array.map first_available problem.Eval.avail in
+  let refresh_every = 1 + Rng.int rng ~bound:20 in
+  let e = Eval.create ~refresh_every problem ~init in
+  let u = Unfused.create ~refresh_every problem ~init in
+  let sites = Array.length problem.Eval.rows in
+  let ok = ref (bits (Eval.objective e) = bits u.Unfused.obj) in
+  for _ = 1 to 300 do
+    (* 1, 2 or 3 moves on distinct sites. *)
+    let k = Stdlib.min sites (1 + Rng.int rng ~bound:3) in
+    let order = Array.init sites Fun.id in
+    Rng.shuffle rng order;
+    let moves =
+      Array.init k (fun i ->
+          let s = order.(i) in
+          (s, random_available rng problem.Eval.avail.(s)))
+    in
+    let fused = propose e moves in
+    let reference = Unfused.propose u moves in
+    if bits fused <> bits reference then ok := false;
+    if Rng.bool rng then begin
+      Eval.commit e;
+      Unfused.commit u
+    end
+    else Eval.discard e;
+    if bits (Eval.objective e) <> bits u.Unfused.obj then ok := false
+  done;
+  !ok && Eval.choices e = u.Unfused.choices
+
+let prop_fused_matches_unfused =
+  QCheck.Test.make
+    ~name:"fused propose/commit == unfused kernel bit for bit (1-3 moves)"
+    ~count:60
+    QCheck.(int_range 1 100000)
+    fused_matches_unfused
+
+(* ------------------------------------------------------------------ *)
+(* Allocation guard                                                    *)
+
+(* 10,000 proposals (single and paired moves), each committed or
+   discarded, on a fixed 40-site x 158-slot problem: the loop may
+   allocate a small constant, never a per-move or per-slot amount. *)
+let test_eval_allocates_nothing () =
+  let rng = Rng.create ~seed:2024 in
+  let sites = 40 and cands = 6 and slots = 158 in
+  let rows =
+    Array.init sites (fun _ ->
+        Array.init cands (fun _ ->
+            (* Leading and trailing slots stay zero, like the quiet
+               part of a clock period. *)
+            Array.init slots (fun k ->
+                if k < 10 || k >= 150 then 0.0 else Rng.float rng ~bound:100.0)))
+  in
+  let problem =
+    { Eval.rows; base = Array.make slots 0.0;
+      avail = Array.init sites (fun _ -> Array.make cands true) }
+  in
+  let e = Eval.create problem ~init:(Array.make sites 0) in
+  let n = 10_000 in
+  let s1 = Array.init n (fun _ -> Rng.int rng ~bound:sites) in
+  let s2 = Array.map (fun s -> (s + 1 + Rng.int rng ~bound:(sites - 1)) mod sites) s1 in
+  let c1 = Array.init n (fun _ -> Rng.int rng ~bound:cands) in
+  let c2 = Array.init n (fun _ -> Rng.int rng ~bound:cands) in
+  let pair = Array.init n (fun _ -> Rng.int rng ~bound:3 = 0) in
+  let accept = Array.init n (fun _ -> Rng.bool rng) in
+  let sites1 = [| 0 |] and cands1 = [| 0 |] in
+  let sites2 = [| 0; 0 |] and cands2 = [| 0; 0 |] in
+  let best = Array.make sites 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    if pair.(i) then begin
+      sites2.(0) <- s1.(i);
+      cands2.(0) <- c1.(i);
+      sites2.(1) <- s2.(i);
+      cands2.(1) <- c2.(i);
+      Eval.propose e ~sites:sites2 ~cands:cands2
+    end
+    else begin
+      sites1.(0) <- s1.(i);
+      cands1.(0) <- c1.(i);
+      Eval.propose e ~sites:sites1 ~cands:cands1
+    end;
+    if accept.(i) then begin
+      Eval.commit e;
+      Eval.blit_choices e best
+    end
+    else Eval.discard e
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 64.0 then
+    Alcotest.failf "10000 propose+commit/discard moves allocated %.0f minor words"
+      words
+
 let () =
   Alcotest.run "repro_sa"
     [
@@ -359,6 +561,10 @@ let () =
             test_eval_rejects_unavailable;
           Alcotest.test_case "rejects repeated site" `Quick
             test_eval_rejects_repeated_site;
+          Alcotest.test_case "bad propose drops pending" `Quick
+            test_eval_bad_propose_drops_pending;
+          Alcotest.test_case "allocates nothing" `Quick
+            test_eval_allocates_nothing;
         ] );
       ( "sa",
         [
@@ -388,5 +594,6 @@ let () =
             test_portfolio_deterministic;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_delta_eval_matches_full ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_delta_eval_matches_full; prop_fused_matches_unfused ] );
     ]

@@ -1,6 +1,7 @@
 module Rng = Repro_util.Rng
 module Stats = Repro_util.Stats
 module Table = Repro_util.Table
+module Floats = Repro_util.Floats
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_close eps = Alcotest.(check (float eps))
@@ -149,6 +150,80 @@ let test_table_cells () =
   Alcotest.(check string) "int" "42" (Table.cell_i 42);
   Alcotest.(check string) "pct" "12.50%" (Table.cell_pct 12.5)
 
+(* Literal draws recorded from the boxed-[int64] generator this module
+   replaced: any change of representation must leave every stream
+   exactly as it was. *)
+let test_rng_stream_pinned () =
+  let check = Alcotest.(check int) in
+  let a = Rng.create ~seed:42 in
+  List.iter
+    (fun v -> check "create ~seed:42" v (Rng.int a ~bound:1_000_000_007))
+    [ 249768340; 869527453; 121944468; 953467420 ];
+  Alcotest.(check string) "float draw" "0x1.378b0b448904p-5"
+    (Printf.sprintf "%h" (Rng.float a ~bound:1.0));
+  let b = Rng.of_instance ~seed:1 7 in
+  List.iter
+    (fun v -> check "of_instance ~seed:1 7" v (Rng.int b ~bound:max_int))
+    [ 4243244265868361885; 1262316644242629240; 4233967967466052990 ];
+  Alcotest.(check string) "instance float" "0x1.6f193020670fp-1"
+    (Printf.sprintf "%h" (Rng.float b ~bound:1.0));
+  let parent = Rng.create ~seed:42 in
+  let child = Rng.split parent in
+  List.iter
+    (fun v -> check "split child" v (Rng.int child ~bound:max_int))
+    [ 1583154557381516417; 4407603814059511829; 2242891356538814700 ];
+  List.iter
+    (fun v -> check "split parent" v (Rng.int parent ~bound:max_int))
+    [ 737456523031723072; 1284820937115690964 ];
+  Alcotest.(check bool) "bool" false (Rng.bool parent)
+
+let test_rng_int_allocates_nothing () =
+  let r = Rng.create ~seed:3 in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc + Rng.int r ~bound:1000
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !acc);
+  if words > 16.0 then
+    Alcotest.failf "10000 Rng.int draws allocated %.0f minor words" words
+
+(* ------------------------------------------------------------------ *)
+(* Floats.max                                                          *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let specials =
+  [ 0.0; -0.0; 1.0; -1.0; 2.5; -2.5; 1e-310; -1e-310; Float.max_float;
+    Float.min_float; Float.infinity; Float.neg_infinity; Float.nan;
+    -.Float.nan; Int64.float_of_bits 0x7FF0000000000001L ]
+
+let test_floats_max_specials () =
+  List.iter
+    (fun x ->
+      List.iter
+        (fun y ->
+          if not (same_bits (Floats.max x y) (Float.max x y)) then
+            Alcotest.failf "Floats.max %h %h = %h, Float.max gives %h" x y
+              (Floats.max x y) (Float.max x y))
+        specials)
+    specials
+
+let test_floats_fold_max () =
+  let a = Array.of_list specials in
+  let check name got want =
+    Alcotest.(check bool) name true (same_bits got want)
+  in
+  check "fold_max, NaN inside"
+    (Floats.fold_max 0.0 a) (Array.fold_left Float.max 0.0 a);
+  let clean = [| -0.0; 0.0; -3.0; 2.0; 2.0; -7.5 |] in
+  check "fold_max" (Floats.fold_max 0.0 clean) (Array.fold_left Float.max 0.0 clean);
+  check "fold_max from -0" (Floats.fold_max (-0.0) [| -0.0 |]) (Float.max (-0.0) (-0.0));
+  check "fold_max_abs" (Floats.fold_max_abs 0.0 clean)
+    (Array.fold_left (fun m v -> Float.max m (Float.abs v)) 0.0 clean);
+  check "fold_max empty" (Floats.fold_max 1.5 [||]) 1.5
+
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 
@@ -176,6 +251,20 @@ let prop_shuffle_preserves_multiset =
       let s2 = Array.to_list copy |> List.sort compare in
       s1 = s2)
 
+let prop_floats_max_bits =
+  let special = QCheck.Gen.oneofl specials in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (frequency [ (1, special); (3, float) ])
+        (frequency [ (1, special); (3, float) ]))
+  in
+  QCheck.Test.make ~name:"Floats.max == Float.max bit for bit" ~count:2000
+    (QCheck.make ~print:(fun (x, y) -> Printf.sprintf "(%h, %h)" x y) gen)
+    (fun (x, y) ->
+      same_bits (Floats.max x y) (Float.max x y)
+      && same_bits (Floats.max x x) (Float.max x x))
+
 let () =
   Alcotest.run "repro_util"
     [
@@ -191,6 +280,14 @@ let () =
           Alcotest.test_case "split deterministic" `Quick test_rng_split_independent;
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
           Alcotest.test_case "pick" `Quick test_rng_pick;
+          Alcotest.test_case "stream pinned" `Quick test_rng_stream_pinned;
+          Alcotest.test_case "int allocates nothing" `Quick
+            test_rng_int_allocates_nothing;
+        ] );
+      ( "floats",
+        [
+          Alcotest.test_case "max on specials" `Quick test_floats_max_specials;
+          Alcotest.test_case "fold_max" `Quick test_floats_fold_max;
         ] );
       ( "stats",
         [
@@ -212,5 +309,5 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_percentile_monotone; prop_stddev_nonneg;
-            prop_shuffle_preserves_multiset ] );
+            prop_shuffle_preserves_multiset; prop_floats_max_bits ] );
     ]
