@@ -183,6 +183,7 @@ let optimize_stats ?(config = default_config) ?warm (ctx : Context.t) =
                      zone = zi;
                      peak_ua = peak;
                      capped = false;
+                     memo = false;
                      wall_ms =
                        Int64.to_float (Int64.sub (Obs_clock.now_ns ()) t0)
                        /. 1e6 });

@@ -16,6 +16,8 @@ let sinks_g = Obs_metrics.gauge "context.sinks"
 let zones_g = Obs_metrics.gauge "context.zones"
 let classes_g = Obs_metrics.gauge "context.interval_classes"
 let feasible_intervals_g = Obs_metrics.gauge "context.feasible_intervals"
+let memo_hits_c = Obs_metrics.counter "context.zone_memo_hits"
+let classes_skipped_c = Obs_metrics.counter "context.classes_skipped"
 
 type params = {
   kappa : float;
@@ -213,62 +215,117 @@ let apply_choices t per_zone_choices =
     per_zone_choices;
   !asg
 
+(* Per-call zone memo: slot [zi] holds zone [zi]'s (key, result) pairs
+   from earlier classes.  A fan-out task touches only its own slot, and
+   keys are compared structurally. *)
+let rec memo_find key = function
+  | [] -> None
+  | (k, r) :: rest -> if k = key then Some r else memo_find key rest
+
+let search_classes ~span ~zone_label ~num_zones ~zone_sinks ~dof ~zone_key
+    ~solve_zone ~peak ~capped classes =
+  let memo = Array.make num_zones [] in
+  let best = ref None in
+  List.iteri
+    (fun cls_idx cls ->
+      Trace.with_span ~name:span
+        ~attrs:
+          [ ("index", string_of_int cls_idx);
+            ("dof", string_of_int (dof cls)) ]
+      @@ fun () ->
+      let keys = Array.init num_zones (zone_key cls) in
+      (* The exact cut-off: a class peak is the max over its zones, so a
+         memoized zone peak no better than the incumbent already loses
+         the same comparison that rejects a fully solved class. *)
+      let ruled_out =
+        match !best with
+        | None -> None
+        | Some (_, best_peak, _) ->
+          let rec scan zi =
+            if zi = num_zones then None
+            else
+              match memo_find keys.(zi) memo.(zi) with
+              | Some r when best_peak <= peak r ->
+                Some (zi, peak r, best_peak)
+              | Some _ | None -> scan (zi + 1)
+          in
+          scan 0
+      in
+      match ruled_out with
+      | Some (zone, peak_ua, best_ua) ->
+        Obs_metrics.incr classes_skipped_c;
+        Flight.record
+          (Flight.Class_skip { cls = cls_idx; zone; peak_ua; best_ua })
+      | None ->
+        (* Zones are independent once the class's availability is fixed;
+           results are index-addressed and label-budget charges replay in
+           zone order, so the fan-out is deterministic.  A lookup can
+           only hit an earlier class's entry, so the hits are too. *)
+        let per_zone =
+          Par.parallel_init ~label:zone_label num_zones (fun zi ->
+              Trace.with_span ~name:zone_label
+                ~attrs:[ ("zone", string_of_int zi) ]
+              @@ fun () ->
+              (* Zone_start/Zone_end bracket the solver's Label_row events
+                 on this domain — how `explain` attributes rows to zones. *)
+              let flight = Flight.enabled () in
+              let t0 = if flight then Obs_clock.now_ns () else 0L in
+              if flight then
+                Flight.record
+                  (Flight.Zone_start
+                     { cls = cls_idx; zone = zi; sinks = zone_sinks zi });
+              let key = keys.(zi) in
+              let r, hit =
+                match memo_find key memo.(zi) with
+                | Some r ->
+                  Obs_metrics.incr memo_hits_c;
+                  (r, true)
+                | None ->
+                  let r = solve_zone cls zi key in
+                  memo.(zi) <- (key, r) :: memo.(zi);
+                  (r, false)
+              in
+              if flight then
+                Flight.record
+                  (Flight.Zone_end
+                     { cls = cls_idx;
+                       zone = zi;
+                       peak_ua = peak r;
+                       capped = capped r;
+                       memo = hit;
+                       wall_ms =
+                         Int64.to_float (Int64.sub (Obs_clock.now_ns ()) t0)
+                         /. 1e6 });
+              r)
+        in
+        let class_peak =
+          Array.fold_left (fun acc r -> Float.max acc (peak r)) 0.0 per_zone
+        in
+        (match !best with
+        | Some (_, best_peak, _) when best_peak <= class_peak -> ()
+        | Some _ | None -> best := Some (cls, class_peak, per_zone)))
+    classes;
+  !best
+
 let solve_with t ~zone_solver =
   Trace.with_span ~name:"context.solve"
     ~attrs:[ ("classes", string_of_int (List.length t.classes)) ]
   @@ fun () ->
-  let best = ref None in
-  List.iteri
-    (fun cls_idx cls ->
-      Trace.with_span ~name:"context.class"
-        ~attrs:
-          [ ("index", string_of_int cls_idx);
-            ("dof", string_of_int cls.degree_of_freedom) ]
-      @@ fun () ->
-      (* Zones are independent once the class's availability is fixed;
-         results are index-addressed and label-budget charges replay in
-         zone order, so the fan-out is deterministic. *)
-      let per_zone =
-        Par.parallel_init ~label:"context.zone_solve"
-          (Array.length t.tables)
-          (fun zi ->
-            let table = t.tables.(zi) in
-            Trace.with_span ~name:"context.zone_solve"
-              ~attrs:[ ("zone", string_of_int zi) ]
-            @@ fun () ->
-            (* Zone_start/Zone_end bracket the solver's Label_row events
-               on this domain — how `explain` attributes rows to zones. *)
-            let flight = Flight.enabled () in
-            let t0 = if flight then Obs_clock.now_ns () else 0L in
-            if flight then
-              Flight.record
-                (Flight.Zone_start
-                   { cls = cls_idx;
-                     zone = zi;
-                     sinks = Array.length table.Noise_table.sinks });
-            let avail = zone_avail t cls.avail table in
-            let choices, capped = zone_solver t table ~avail in
-            let peak = Noise_table.zone_objective table ~choices in
-            if flight then
-              Flight.record
-                (Flight.Zone_end
-                   { cls = cls_idx;
-                     zone = zi;
-                     peak_ua = peak;
-                     capped;
-                     wall_ms =
-                       Int64.to_float (Int64.sub (Obs_clock.now_ns ()) t0)
-                       /. 1e6 });
-            (choices, capped, peak))
-      in
-      let peak =
-        Array.fold_left (fun acc (_, _, p) -> Float.max acc p) 0.0 per_zone
-      in
-      match !best with
-      | Some (_, best_peak, _) when best_peak <= peak -> ()
-      | Some _ | None -> best := Some (cls, peak, per_zone))
-    t.classes;
-  match !best with
+  let best =
+    search_classes ~span:"context.class" ~zone_label:"context.zone_solve"
+      ~num_zones:(Array.length t.tables)
+      ~zone_sinks:(fun zi -> Array.length t.tables.(zi).Noise_table.sinks)
+      ~dof:(fun cls -> cls.degree_of_freedom)
+      ~zone_key:(fun cls zi -> zone_avail t cls.avail t.tables.(zi))
+      ~solve_zone:(fun _ zi avail ->
+        let table = t.tables.(zi) in
+        let choices, capped = zone_solver t table ~avail in
+        (choices, capped, Noise_table.zone_objective table ~choices))
+      ~peak:(fun (_, _, p) -> p)
+      ~capped:(fun (_, c, _) -> c)
+      t.classes
+  in
+  match best with
   | None ->
     let effective_kappa =
       Float.max 1.0 (t.params.kappa -. t.params.sibling_guard)

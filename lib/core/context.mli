@@ -102,4 +102,43 @@ val solve_with :
     zone sink, plus a flag marking the zone solution as approximate
     (label-capped); the flags of the winning class are OR-ed into
     [outcome.approximate].
+
+    [zone_solver] must be a pure function of (table, avail): within one
+    call it runs at most once per distinct zone availability, and a zone
+    whose matrix repeats an earlier class's reuses that result (a
+    {e memo hit}, counted by [context.zone_memo_hits]).  A class that an
+    already memoized zone peak proves no better than the best class so
+    far is skipped without solving ([context.classes_skipped]).  Both
+    leave the outcome bit-identical to solving every zone of every
+    class, as long as zone peaks are never NaN (noise tables are
+    finite).  See {!search_classes}.
     @raise Failure when no feasible interval exists (check {!feasible}). *)
+
+val search_classes :
+  span:string ->
+  zone_label:string ->
+  num_zones:int ->
+  zone_sinks:(int -> int) ->
+  dof:('c -> int) ->
+  zone_key:('c -> int -> 'k) ->
+  solve_zone:('c -> int -> 'k -> 'r) ->
+  peak:('r -> float) ->
+  capped:('r -> bool) ->
+  'c list ->
+  ('c * float * 'r array) option
+(** The class loop behind {!solve_with} and ClkWaveMin-M
+    ([Multimode.solve]): solve every zone of every class, in list
+    order, and return the first class with the least peak (the max of
+    its zones' [peak]s), its peak and its per-zone results; [None] for
+    no classes.
+
+    [zone_key cls zi] must capture everything [solve_zone cls zi key]
+    depends on: [solve_zone] runs at most once per distinct
+    (zone, key), compared structurally, and a repeated key reuses the
+    earlier result.  Before a class fans out, it is skipped if a zone's
+    memoized result already has [peak] no better than the incumbent's
+    — the comparison that would reject it after solving.  Zones fan out
+    over {!Repro_par.Par.parallel_init} under the [zone_label] span;
+    each class runs under a [span] span.  Every zone records a
+    [Zone_start]/[Zone_end] flight pair (memo hits with [memo = true])
+    and every skipped class one [Class_skip]. *)

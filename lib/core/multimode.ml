@@ -365,33 +365,38 @@ let apply t inter per_zone_cells =
     per_zone_cells;
   !asg
 
-let solve_intersection t inter =
-  Trace.with_span ~name:"multimode.intersection"
-    ~attrs:[ ("dof", string_of_int inter.degree_of_freedom) ]
-  @@ fun () ->
-  let num_zones = Zones.num_zones t.zones in
-  let per_zone =
-    Par.parallel_init ~label:"multimode.zone_solve" num_zones (fun zi ->
-        solve_zone t inter zi)
-  in
-  let peak =
-    Array.fold_left (fun acc (_, p, _) -> Float.max acc p) 0.0 per_zone
-  in
-  (per_zone, peak)
+(* Everything [solve_zone t inter zi] reads of [inter]: per zone row and
+   mode, the candidate admitting each universe cell, or -1. *)
+let zone_key t inter zi =
+  let num_cells = Array.length t.cell_universe in
+  Array.map
+    (fun row ->
+      Array.init
+        (Array.length t.modes * num_cells)
+        (fun j ->
+          let k = j mod num_cells in
+          if inter.cell_avail.(row).(k) then
+            inter.chosen_candidate.(j / num_cells).(row).(k)
+          else -1))
+    t.modes.(0).tables.(zi).Noise_table.sink_rows
 
 let solve t =
   Trace.with_span ~name:"multimode.solve"
     ~attrs:[ ("intersections", string_of_int (List.length t.intersections)) ]
   @@ fun () ->
-  let best = ref None in
-  List.iter
-    (fun inter ->
-      let per_zone, peak = solve_intersection t inter in
-      match !best with
-      | Some (_, _, best_peak) when best_peak <= peak -> ()
-      | Some _ | None -> best := Some (inter, per_zone, peak))
-    t.intersections;
-  match !best with
+  let best =
+    Context.search_classes ~span:"multimode.intersection"
+      ~zone_label:"multimode.zone_solve" ~num_zones:(Zones.num_zones t.zones)
+      ~zone_sinks:(fun zi ->
+        Array.length t.modes.(0).tables.(zi).Noise_table.sinks)
+      ~dof:(fun inter -> inter.degree_of_freedom)
+      ~zone_key:(zone_key t)
+      ~solve_zone:(fun inter zi _ -> solve_zone t inter zi)
+      ~peak:(fun (_, p, _) -> p)
+      ~capped:(fun (_, _, c) -> c)
+      t.intersections
+  in
+  match best with
   | None ->
     let p = t.params in
     let effective_kappa =
@@ -427,7 +432,7 @@ let solve t =
           sibling guard %.2f ps); %s"
          (Array.length t.modes) effective_kappa p.Context.kappa
          p.Context.sibling_guard per_mode)
-  | Some (inter, per_zone, peak) ->
+  | Some (inter, peak, per_zone) ->
     {
       assignment = apply t inter (Array.map (fun (c, _, _) -> c) per_zone);
       intersection = inter;
@@ -439,6 +444,10 @@ let solve t =
 let degree_of_freedom_table t =
   List.map
     (fun inter ->
-      let _, peak = solve_intersection t inter in
-      (inter.degree_of_freedom, peak))
+      let per_zone =
+        Par.parallel_init ~label:"multimode.zone_solve"
+          (Zones.num_zones t.zones) (solve_zone t inter)
+      in
+      ( inter.degree_of_freedom,
+        Array.fold_left (fun acc (_, p, _) -> Float.max acc p) 0.0 per_zone ))
     t.intersections

@@ -23,6 +23,7 @@ type zone_agg = {
   mutable z_capped_labels : int;
   mutable z_peak : float;
   mutable z_capped : bool;
+  mutable z_memo : bool;
   mutable z_wall_ms : float;
   mutable z_closed : bool;
 }
@@ -62,6 +63,7 @@ let render doc =
       let zone_order = ref [] in
       let open_zone = Hashtbl.create 8 in (* domain -> (cls, zone) *)
       let budget_trips = ref [] in
+      let class_skips = ref [] in
       let cache_counts = Hashtbl.create 8 in (* (cache, outcome) -> count *)
       let contention = Hashtbl.create 8 in (* resource -> (count, total_ms) *)
       (* zone -> (stages, proposed, accepted, last objective) *)
@@ -103,7 +105,8 @@ let render doc =
                 { z_cls = cls; z_zone = zone;
                   z_sinks = int_or 0 "sinks" e; z_rows = [];
                   z_extended = 0; z_pruned = 0; z_capped_labels = 0;
-                  z_peak = 0.0; z_capped = false; z_wall_ms = 0.0;
+                  z_peak = 0.0; z_capped = false; z_memo = false;
+                  z_wall_ms = 0.0;
                   z_closed = false }
               in
               Hashtbl.replace zones (cls, zone) z;
@@ -129,8 +132,16 @@ let render doc =
             | Some z ->
               z.z_peak <- num_or 0.0 "peak_ua" e;
               z.z_capped <- bool_or false "capped" e;
+              z.z_memo <- bool_or false "memo" e;
               z.z_wall_ms <- num_or 0.0 "wall_ms" e;
               z.z_closed <- true)
+          | "class-skip" ->
+            class_skips :=
+              ( int_or 0 "class" e,
+                int_or 0 "zone" e,
+                num_or 0.0 "peak_ua" e,
+                num_or 0.0 "best_ua" e )
+              :: !class_skips
           | "budget-trip" ->
             budget_trips :=
               (t_ms, str_or "?" "reason" e, int_or 0 "labels_used" e)
@@ -245,12 +256,24 @@ let render doc =
             if i < show then
               pr "  class %d zone %-4d %8.1f ms  %d sinks, peak %.1f uA%s\n"
                 z.z_cls z.z_zone z.z_wall_ms z.z_sinks z.z_peak
-                (if z.z_capped then ", label-capped"
-                 else if not z.z_closed then ", UNFINISHED"
-                 else ""))
+                ((if z.z_memo then ", memo hit" else "")
+                ^
+                if z.z_capped then ", label-capped"
+                else if not z.z_closed then ", UNFINISHED"
+                else ""))
           by_wall;
         if List.length by_wall > show then
           pr "  ... %d more zones\n" (List.length by_wall - show);
+        let hits = List.filter (fun z -> z.z_memo) zone_list in
+        if hits <> [] then
+          pr "  zone memo: %d of %d zone results reused from an earlier \
+              class (%s)\n"
+            (List.length hits) (List.length zone_list)
+            (String.concat ", "
+               (List.map
+                  (fun z -> Printf.sprintf "class %d zone %d" z.z_cls z.z_zone)
+                  (List.filteri (fun i _ -> i < 8) hits)
+               @ if List.length hits > 8 then [ "..." ] else []));
         (* Label evolution gets its own section: the zones that carry
            row data are the interesting ones (a cap or budget trip cut
            them short) yet rarely the slowest, so burying them under
@@ -283,6 +306,17 @@ let render doc =
             pr "  ... %d more zones\n" (List.length with_rows - show)
         end
       end;
+
+      (match List.rev !class_skips with
+      | [] -> ()
+      | skips ->
+        pr "\nclasses skipped by the cut-off (%d):\n" (List.length skips);
+        List.iter
+          (fun (cls, zone, peak, best) ->
+            pr "  class %d: zone %d memoized peak %.1f uA >= best class \
+                peak %.1f uA\n"
+              cls zone peak best)
+          skips);
 
       (match List.rev !budget_trips with
       | [] -> ()

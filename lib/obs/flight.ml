@@ -29,8 +29,10 @@ type kind =
       zone : int;
       peak_ua : float;
       capped : bool;
+      memo : bool;
       wall_ms : float;
     }
+  | Class_skip of { cls : int; zone : int; peak_ua : float; best_ua : float }
   | Label_row of {
       row : int;
       extended : int;
@@ -122,6 +124,7 @@ let kind_name = function
   | Window _ -> "window"
   | Zone_start _ -> "zone-start"
   | Zone_end _ -> "zone-end"
+  | Class_skip _ -> "class-skip"
   | Label_row _ -> "label-row"
   | Budget_trip _ -> "budget-trip"
   | Cache _ -> "cache"
@@ -159,12 +162,18 @@ let kind_fields = function
       ("latest_ps", Json.Num latest_ps) ]
   | Zone_start { cls; zone; sinks } ->
     [ ("class", num_i cls); ("zone", num_i zone); ("sinks", num_i sinks) ]
-  | Zone_end { cls; zone; peak_ua; capped; wall_ms } ->
+  | Zone_end { cls; zone; peak_ua; capped; memo; wall_ms } ->
     [ ("class", num_i cls);
       ("zone", num_i zone);
       ("peak_ua", Json.Num peak_ua);
       ("capped", Json.Bool capped);
+      ("memo", Json.Bool memo);
       ("wall_ms", Json.Num wall_ms) ]
+  | Class_skip { cls; zone; peak_ua; best_ua } ->
+    [ ("class", num_i cls);
+      ("zone", num_i zone);
+      ("peak_ua", Json.Num peak_ua);
+      ("best_ua", Json.Num best_ua) ]
   | Label_row { row; extended; kept; pruned; capped } ->
     [ ("row", num_i row);
       ("extended", num_i extended);

@@ -51,8 +51,17 @@ type kind =
       zone : int;
       peak_ua : float;
       capped : bool;
+      memo : bool;
+          (** The zone's result came from the per-solve zone memo: no
+              solver ran and no [Label_row] events precede this end. *)
       wall_ms : float;
     }
+  | Class_skip of {
+      cls : int;
+      zone : int;  (** The zone whose memoized peak ruled the class out... *)
+      peak_ua : float;  (** ...this peak, a lower bound on the class's... *)
+      best_ua : float;  (** ...already no better than the best class so far. *)
+    }  (** An interval class skipped by the exact class cut-off. *)
   | Label_row of {
       row : int;
       extended : int;  (** Labels created by extension. *)

@@ -1,10 +1,18 @@
+(* The conjugate-gradient work vectors of one solve. *)
+type workspace = { r : float array; p : float array; ap : float array }
+
 type t = {
   nx : int;
   ny : int;
   die_side : float;
   conductance : float; (* 1 / segment_res, in 1/Ohm *)
   pad : bool array;
+  workspace : workspace option Atomic.t;
+      (* [None] while a solve holds it. *)
 }
+
+let new_workspace n =
+  { r = Array.make n 0.0; p = Array.make n 0.0; ap = Array.make n 0.0 }
 
 let create ~die_side ?(nx = 16) ?(ny = 16) ?(segment_res = 0.5)
     ?(pad_stride = 8) () =
@@ -28,7 +36,8 @@ let create ~die_side ?(nx = 16) ?(ny = 16) ?(segment_res = 0.5)
       mark (nx - 1) j
     end
   done;
-  { nx; ny; die_side; conductance = 1.0 /. segment_res; pad }
+  { nx; ny; die_side; conductance = 1.0 /. segment_res; pad;
+    workspace = Atomic.make (Some (new_workspace (nx * ny))) }
 
 let num_nodes t = t.nx * t.ny
 
@@ -79,23 +88,46 @@ let apply t (x : float array) (y : float array) =
     done
   done
 
-(* Conjugate gradient; the grounded Laplacian is SPD on the free nodes
-   as long as at least one pad exists (guaranteed by create).  Written
-   as loops over local float accumulators so that an iteration
-   allocates nothing; the summation order of every dot product is the
-   index order, as in a [dot] helper, so results are unchanged bit for
-   bit.  The [x]/[r] update pass also sums [r.r] for the next step. *)
-let solve_operator t ~apply_op ~injection =
+(* The operator of a solve: the mesh Laplacian, optionally shifted by
+   a non-negative diagonal on the free nodes.  [Laplacian] is a
+   constant constructor, so a plain solve allocates no closure. *)
+type operator = Laplacian | Shifted of float array
+
+let apply_operator t op x y =
+  apply t x y;
+  match op with
+  | Laplacian -> ()
+  | Shifted diag ->
+    for i = 0 to num_nodes t - 1 do
+      if not t.pad.(i) then y.(i) <- y.(i) +. (diag.(i) *. x.(i))
+    done
+
+(* Conjugate gradient into [x]; the grounded Laplacian is SPD on the
+   free nodes as long as at least one pad exists (guaranteed by
+   create).  Written as loops over local float accumulators so that an
+   iteration allocates nothing; the summation order of every dot
+   product is the index order, as in a [dot] helper, so results are
+   unchanged bit for bit.  The [x]/[r] update pass also sums [r.r] for
+   the next step.  The work vectors come from the grid's workspace; a
+   solve that finds it taken (another domain is solving on the same
+   grid) uses fresh ones.  The option cell taken out is the one put
+   back, so returning it allocates nothing. *)
+let solve_operator_into t op ~injection x =
   let n = num_nodes t in
   let pad = t.pad in
-  let b = Array.make n 0.0 in
+  let held =
+    match Atomic.exchange t.workspace None with
+    | Some _ as held -> held
+    | None -> Some (new_workspace n)
+  in
+  let { r; p; ap } = Option.get held in
   for i = 0 to n - 1 do
-    if not pad.(i) then b.(i) <- injection.(i)
+    let bi = if pad.(i) then 0.0 else injection.(i) in
+    x.(i) <- 0.0;
+    r.(i) <- bi;
+    p.(i) <- bi;
+    ap.(i) <- 0.0
   done;
-  let x = Array.make n 0.0 in
-  let r = Array.copy b in
-  let p = Array.copy b in
-  let ap = Array.make n 0.0 in
   let rs = ref 0.0 in
   for i = 0 to n - 1 do
     rs := !rs +. (r.(i) *. r.(i))
@@ -107,7 +139,7 @@ let solve_operator t ~apply_op ~injection =
   let max_iter = 4 * n in
   let k = ref 0 in
   while (not (!rs < eps)) && !k < max_iter do
-    apply_op p ap;
+    apply_operator t op p ap;
     let pap = ref 0.0 in
     for i = 0 to n - 1 do
       pap := !pap +. (p.(i) *. ap.(i))
@@ -130,12 +162,19 @@ let solve_operator t ~apply_op ~injection =
   for i = 0 to n - 1 do
     if pad.(i) then x.(i) <- 0.0
   done;
-  x
+  Atomic.set t.workspace held
 
-let solve t ~injection =
+let solve_into t ~injection x =
   if Array.length injection <> num_nodes t then
     invalid_arg "Grid.solve: injection length mismatch";
-  solve_operator t ~apply_op:(fun x y -> apply t x y) ~injection
+  if Array.length x <> num_nodes t then
+    invalid_arg "Grid.solve_into: output length mismatch";
+  solve_operator_into t Laplacian ~injection x
+
+let solve t ~injection =
+  let x = Array.make (num_nodes t) 0.0 in
+  solve_into t ~injection x;
+  x
 
 let solve_shifted t ~diag ~injection =
   let n = num_nodes t in
@@ -147,13 +186,9 @@ let solve_shifted t ~diag ~injection =
     if diag.(i) < 0.0 then
       invalid_arg "Grid.solve_shifted: negative diagonal entry"
   done;
-  let apply_op x y =
-    apply t x y;
-    for i = 0 to n - 1 do
-      if not t.pad.(i) then y.(i) <- y.(i) +. (diag.(i) *. x.(i))
-    done
-  in
-  solve_operator t ~apply_op ~injection
+  let x = Array.make n 0.0 in
+  solve_operator_into t (Shifted diag) ~injection x;
+  x
 
 let effective_resistance t id =
   let injection = Array.make (num_nodes t) 0.0 in

@@ -45,6 +45,15 @@ val solve : t -> injection:float array -> float array
     @raise Invalid_argument if the injection length differs from
     [num_nodes]. *)
 
+val solve_into : t -> injection:float array -> float array -> unit
+(** [solve_into t ~injection x] writes [solve t ~injection] into [x]
+    and allocates nothing: the conjugate-gradient work vectors are the
+    grid's own, reused across solves.  A grid may still be shared
+    across domains; a solve that finds the workspace in use allocates
+    its own.  [x] must not be [injection].
+    @raise Invalid_argument if either length differs from
+    [num_nodes]. *)
+
 val solve_shifted : t -> diag:float array -> injection:float array -> float array
 (** [solve_shifted t ~diag ~injection] solves [(L + D) v = injection]
     where [L] is the grounded mesh Laplacian and [D] the given

@@ -22,10 +22,11 @@ let rail_noise_mv grid ~injections ~times =
   let injections = Array.of_list injections in
   let nodes = injection_nodes grid injections in
   let currents = Array.make (Grid.num_nodes grid) 0.0 in
+  let drops = Array.make (Grid.num_nodes grid) 0.0 in
   Array.fold_left
     (fun worst time ->
       nodal_currents_into currents ~nodes injections time;
-      let drops = Grid.solve grid ~injection:currents in
+      Grid.solve_into grid ~injection:currents drops;
       Floats.max worst (Floats.fold_max_abs 0.0 drops))
     0.0 times
   /. 1000.0

@@ -242,13 +242,15 @@ let prop_label_trip_independent_of_jobs =
 
 let test_label_trip_sequential_work () =
   (* At jobs 1 a tripped run does exactly the Warburton work of a plain
-     sequential zone loop: zones past the trip never start.  The
-     expected (solves, rows) pairs are those of the shared-tally loop
-     this replaced. *)
+     sequential zone loop: zones past the trip never start.  Memo hits
+     and skipped classes charge no labels.  Cap 10 and 50 trip in
+     class 0; cap 100 trips in zone 3 of class 7, after 5 classes were
+     skipped by the cut-off and one zone of class 4 was a memo hit
+     (the uncapped run solves 21 zones and charges 120 labels). *)
   let module M = Repro_obs.Metrics in
   let tree = small_tree ~seed:3 in
   List.iter
-    (fun (cap, solves, rows) ->
+    (fun (cap, solves, rows, skipped, hits) ->
       M.reset ();
       let budget = Budget.create ~max_labels:cap () in
       (match
@@ -265,8 +267,13 @@ let test_label_trip_sequential_work () =
         (solves, rows)
         ( M.value (M.counter "warburton.solves"),
           (M.histogram_stats (M.histogram "warburton.labels_per_row")).M.count
-        ))
-    [ (10, 3, 2); (50, 5, 6); (200, 23, 30) ]
+        );
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "cap %d: classes skipped, memo hits" cap)
+        (skipped, hits)
+        ( M.value (M.counter "context.classes_skipped"),
+          M.value (M.counter "context.zone_memo_hits") ))
+    [ (10, 3, 2, 0, 0); (50, 5, 6, 0, 0); (100, 15, 19, 5, 1) ]
 
 let test_labels_kept_on_task_error () =
   (* A task failing for another reason still leaves the labels charged

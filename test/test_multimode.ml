@@ -166,6 +166,43 @@ let test_dof_table_nonempty () =
       table
   end
 
+let test_solve_matches_memo_free_classes () =
+  (* [solve] shares the zone memo and class cut-off of
+     [Context.search_classes]; [degree_of_freedom_table] solves every
+     zone of every intersection.  The winner must be the table's first
+     least peak, bit for bit, at any job count. *)
+  List.iter
+    (fun seed ->
+      let t = tree ~seed () in
+      let envs = envs_for t in
+      let base = Assignment.default t ~num_modes:2 in
+      let mm = Multimode.create ~params t ~base ~envs ~cells:plain_cells in
+      if Multimode.feasible mm then begin
+        let table = Multimode.degree_of_freedom_table mm in
+        let best_i, best_peak =
+          List.fold_left
+            (fun (bi, bp) (i, (_, p)) -> if bp <= p then (bi, bp) else (i, p))
+            (-1, infinity)
+            (List.mapi (fun i row -> (i, row)) table)
+        in
+        List.iter
+          (fun jobs ->
+            let sol =
+              Repro_par.Par.with_jobs jobs (fun () -> Multimode.solve mm)
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "seed %d jobs %d: same intersection" seed jobs)
+              true
+              (sol.Multimode.intersection
+              == List.nth mm.Multimode.intersections best_i);
+            Alcotest.(check int64)
+              (Printf.sprintf "seed %d jobs %d: same peak bits" seed jobs)
+              (Int64.bits_of_float best_peak)
+              (Int64.bits_of_float sol.Multimode.predicted_peak_ua))
+          [ 1; 4 ]
+      end)
+    [ 909; 17; 4242 ]
+
 (* ------------------------------------------------------------------ *)
 (* ClkWaveMin-M                                                        *)
 
@@ -246,6 +283,8 @@ let () =
           Alcotest.test_case "skew in all modes" `Quick
             test_solve_respects_skew_in_all_modes;
           Alcotest.test_case "dof table" `Quick test_dof_table_nonempty;
+          Alcotest.test_case "solve == memo-free classes" `Quick
+            test_solve_matches_memo_free_classes;
         ] );
       ( "wavemin-m",
         [

@@ -343,6 +343,47 @@ let test_solve_allocation_flat_in_iterations () =
       "Grid.solve allocated %.0f minor words with CG iterations, %.0f without"
       w_busy w_idle
 
+let words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* The CG work vectors are the grid's own, reused across solves: a
+   solve into a caller-owned vector allocates nothing (the measuring
+   itself boxes a float or two, hence the empty-thunk baseline), and it
+   gives the bits of [Grid.solve], also from two domains solving on one
+   grid at once (a solve that finds the workspace taken uses its own). *)
+let test_solve_into_allocates_nothing () =
+  let g = Grid.create ~die_side:100.0 () in
+  let n = Grid.num_nodes g in
+  let rng = Repro_util.Rng.create ~seed:7 in
+  let injection = Array.init n (fun _ -> Repro_util.Rng.float rng ~bound:1000.0) in
+  let x = Array.make n 0.0 in
+  let solve () = Grid.solve_into g ~injection x in
+  let empty () = () in
+  solve ();
+  let baseline = words_of empty and words = words_of solve in
+  if words > baseline then
+    Alcotest.failf "Grid.solve_into allocated %.0f minor words (baseline %.0f)"
+      words baseline;
+  Alcotest.(check bool) "solve_into == solve" true
+    (same_bits x (Grid.solve g ~injection));
+  let shifted = Grid.solve_shifted g ~diag:(Array.make n 0.25) ~injection in
+  Alcotest.(check bool) "shifted solve unaffected" true
+    (same_bits shifted
+       (Naive.solve_shifted g ~nx:16 ~ny:16 ~cond:2.0
+          ~diag:(Array.make n 0.25) ~injection));
+  let want = Grid.solve g ~injection in
+  let solves () =
+    List.for_all
+      (fun _ -> same_bits (Grid.solve g ~injection) want)
+      (List.init 200 Fun.id)
+  in
+  let other = Domain.spawn solves in
+  let here = solves () in
+  Alcotest.(check bool) "shared grid, two domains" true
+    (Domain.join other && here)
+
 let () =
   Alcotest.run "repro_powergrid"
     [
@@ -361,6 +402,8 @@ let () =
             test_effective_resistance_center_vs_edge;
           Alcotest.test_case "allocation flat in CG iterations" `Quick
             test_solve_allocation_flat_in_iterations;
+          Alcotest.test_case "solve_into allocates nothing" `Quick
+            test_solve_into_allocates_nothing;
         ] );
       ( "noise",
         [

@@ -1549,9 +1549,18 @@ let test_server_flight_forensics () =
 
 let test_flight_recorder_never_influences () =
   (* The byte-identity contract with the recorder specifically: the
-     same degraded request executes identically with recording off and
-     on, while the enabled run actually fills the ring. *)
-  let req = Protocol.Run { opts = degraded_run_opts; algorithm = Flow.Wavemin; warm = false } in
+     same request executes identically with recording off and on,
+     while the enabled run actually fills the ring.  One request is
+     degraded; clean ClkWaveMin on s15850 takes both class-loop
+     shortcuts, a zone memo hit and a skipped class. *)
+  let clean =
+    Protocol.Run
+      { opts = Protocol.default_opts ~benchmark:"s15850";
+        algorithm = Flow.Wavemin; warm = false }
+  in
+  let degraded =
+    Protocol.Run { opts = degraded_run_opts; algorithm = Flow.Wavemin; warm = false }
+  in
   let render = function
     | Ok body -> "ok:" ^ Json.to_string body
     | Error (e, _) -> "err:" ^ Json.to_string (Verrors.to_json e)
@@ -1560,14 +1569,23 @@ let test_flight_recorder_never_influences () =
   Fun.protect
     ~finally:(fun () -> Flight.set_enabled was_enabled)
     (fun () ->
-      Flight.set_enabled false;
-      let off = render (Handlers.execute (Session.create ()) req) in
-      Flight.set_enabled true;
-      Flight.clear ();
-      let on = render (Handlers.execute (Session.create ()) req) in
-      let recorded = Flight.recorded () in
-      Alcotest.(check string) "byte-identical with recorder on" off on;
-      Alcotest.(check bool) "recorder saw the solve" true (recorded > 0))
+      List.iter
+        (fun req ->
+          Flight.set_enabled false;
+          let off = render (Handlers.execute (Session.create ()) req) in
+          Flight.set_enabled true;
+          Flight.clear ();
+          let on = render (Handlers.execute (Session.create ()) req) in
+          let recorded = Flight.recorded () in
+          Alcotest.(check string) "byte-identical with recorder on" off on;
+          Alcotest.(check bool) "recorder saw the solve" true (recorded > 0))
+        [ degraded; clean ];
+      let saw p = List.exists (fun (e : Flight.event) -> p e.Flight.kind) in
+      let events = Flight.events () in
+      Alcotest.(check bool) "a memo hit was recorded" true
+        (saw (function Flight.Zone_end { memo; _ } -> memo | _ -> false) events);
+      Alcotest.(check bool) "a skipped class was recorded" true
+        (saw (function Flight.Class_skip _ -> true | _ -> false) events))
 
 (* ---- bit-identity: concurrent == sequential ----------------------- *)
 

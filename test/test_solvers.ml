@@ -322,6 +322,154 @@ let prop_all_solvers_respect_kappa =
              <= small_params.Context.kappa +. 1e-6)
            [ Clk_wavemin.optimize; Clk_wavemin_f.optimize; Clk_peakmin.optimize ])
 
+(* ------------------------------------------------------------------ *)
+(* Zone memo and class cut-off                                         *)
+
+(* The class loop [Context.solve_with] replaced: every zone of every
+   class solved, no memo, no cut-off.  Also returns each class's peak. *)
+let reference_solve (ctx : Context.t) ~zone_solver =
+  let best = ref None in
+  let class_peaks =
+    List.map
+      (fun (cls : Context.interval_class) ->
+        let per_zone =
+          Array.map
+            (fun table ->
+              let avail = Context.zone_avail ctx cls.Context.avail table in
+              let choices, capped = zone_solver ctx table ~avail in
+              (choices, capped, Noise_table.zone_objective table ~choices))
+            ctx.Context.tables
+        in
+        let peak =
+          Array.fold_left (fun acc (_, _, p) -> Float.max acc p) 0.0 per_zone
+        in
+        (match !best with
+        | Some (_, best_peak, _) when best_peak <= peak -> ()
+        | Some _ | None -> best := Some (cls, peak, per_zone));
+        peak)
+      ctx.Context.classes
+  in
+  let outcome =
+    Option.map
+      (fun ((cls : Context.interval_class), peak, per_zone) ->
+        {
+          Context.assignment =
+            Context.apply_choices ctx (Array.map (fun (c, _, _) -> c) per_zone);
+          interval = cls.Context.interval;
+          predicted_peak_ua = peak;
+          zone_peaks = Array.map (fun (_, _, p) -> p) per_zone;
+          approximate = Array.exists (fun (_, c, _) -> c) per_zone;
+        })
+      !best
+  in
+  (outcome, Array.of_list class_peaks)
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_outcome tree (a : Context.outcome) (b : Context.outcome) =
+  let same_asg id =
+    Cell.equal
+      (Assignment.cell a.Context.assignment id)
+      (Assignment.cell b.Context.assignment id)
+    && same_float
+         (Assignment.extra_delay a.Context.assignment ~mode:0 id)
+         (Assignment.extra_delay b.Context.assignment ~mode:0 id)
+  in
+  Array.for_all (fun nd -> same_asg nd.Tree.id) (Tree.nodes tree)
+  && same_float a.Context.interval.Intervals.lo b.Context.interval.Intervals.lo
+  && same_float a.Context.interval.Intervals.hi b.Context.interval.Intervals.hi
+  && same_float a.Context.predicted_peak_ua b.Context.predicted_peak_ua
+  && Array.length a.Context.zone_peaks = Array.length b.Context.zone_peaks
+  && Array.for_all2 same_float a.Context.zone_peaks b.Context.zone_peaks
+  && a.Context.approximate = b.Context.approximate
+
+(* [zone_solver] wrapped to count its calls per (zone, avail); zone
+   solves run on several domains at jobs > 1. *)
+let counting (ctx : Context.t) zone_solver =
+  let calls = Hashtbl.create 64 and lock = Mutex.create () in
+  let wrapped c table ~avail =
+    let zi = ref (-1) in
+    Array.iteri (fun i t -> if t == table then zi := i) ctx.Context.tables;
+    Mutex.protect lock (fun () ->
+        let key = (!zi, avail) in
+        Hashtbl.replace calls key
+          (1 + Option.value ~default:0 (Hashtbl.find_opt calls key)));
+    zone_solver c table ~avail
+  in
+  (calls, wrapped)
+
+let prop_solve_with_matches_reference =
+  let module Flight = Repro_obs.Flight in
+  QCheck.Test.make ~count:12
+    ~name:"solve_with == memo-free class loop, one solve per zone graph"
+    QCheck.(
+      quad (int_range 1 10000) (int_range 6 24) (oneofl [ 12.0; 20.0; 30.0 ])
+        (oneofl [ 4; 16; 400 ]))
+    (fun (seed, leaves, kappa, max_labels) ->
+      let t = tree ~seed ~leaves ~internals:4 () in
+      let params = { small_params with Context.kappa; max_labels } in
+      let ctx = Context.create ~params t ~cells in
+      (not (Context.feasible ctx))
+      || List.for_all
+           (fun zone_solver ->
+             let want, class_peaks = reference_solve ctx ~zone_solver in
+             let want = Option.get want in
+             List.for_all
+               (fun jobs ->
+                 let calls, wrapped = counting ctx zone_solver in
+                 let was_enabled = Flight.enabled ()
+                 and capacity = Flight.capacity () in
+                 Flight.set_capacity 100_000;
+                 Flight.set_enabled true;
+                 let got =
+                   Fun.protect
+                     ~finally:(fun () ->
+                       Flight.set_enabled was_enabled;
+                       Flight.set_capacity capacity)
+                     (fun () ->
+                       let got =
+                         Repro_par.Par.with_jobs jobs (fun () ->
+                             Context.solve_with ctx ~zone_solver:wrapped)
+                       in
+                       (got, Flight.events ()))
+                 in
+                 let got, events = got in
+                 let skips =
+                   List.filter_map
+                     (fun (e : Flight.event) ->
+                       match e.Flight.kind with
+                       | Flight.Class_skip { cls; peak_ua; best_ua; _ } ->
+                         Some (cls, peak_ua, best_ua)
+                       | _ -> None)
+                     events
+                 in
+                 (* Every zone graph of the classes not skipped, each
+                    solved exactly once. *)
+                 let expected = Hashtbl.create 64 in
+                 List.iteri
+                   (fun ci (cls : Context.interval_class) ->
+                     if not (List.exists (fun (c, _, _) -> c = ci) skips) then
+                       Array.iteri
+                         (fun zi table ->
+                           Hashtbl.replace expected
+                             (zi, Context.zone_avail ctx cls.Context.avail table)
+                             ())
+                         ctx.Context.tables)
+                   ctx.Context.classes;
+                 same_outcome t want got
+                 && Hashtbl.length calls = Hashtbl.length expected
+                 && Hashtbl.fold
+                      (fun key n ok -> ok && n = 1 && Hashtbl.mem expected key)
+                      calls true
+                 (* A skip names a zone peak that bounds the class's
+                    own peak and already loses to the incumbent. *)
+                 && List.for_all
+                      (fun (cls, peak, best) ->
+                        best <= peak && peak <= class_peaks.(cls))
+                      skips)
+               [ 1; 2; 4 ])
+           [ Clk_wavemin.zone_solver; Clk_wavemin_f.zone_solver ])
+
 let () =
   Alcotest.run "repro_core_solvers"
     [
@@ -366,5 +514,7 @@ let () =
           Alcotest.test_case "names" `Quick test_flow_names;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_all_solvers_respect_kappa ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_all_solvers_respect_kappa; prop_solve_with_matches_reference ]
+      );
     ]

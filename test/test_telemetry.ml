@@ -434,7 +434,15 @@ let test_explain_synthetic_dump () =
       Flight.record
         (Flight.Zone_end
            { cls = 0; zone = 1; peak_ua = 1234.5; capped = true;
-             wall_ms = 3.25 });
+             memo = false; wall_ms = 3.25 });
+      Flight.record (Flight.Zone_start { cls = 1; zone = 1; sinks = 5 });
+      Flight.record
+        (Flight.Zone_end
+           { cls = 1; zone = 1; peak_ua = 1234.5; capped = true;
+             memo = true; wall_ms = 0.01 });
+      Flight.record
+        (Flight.Class_skip
+           { cls = 2; zone = 1; peak_ua = 1234.5; best_ua = 1200.0 });
       Flight.record
         (Flight.Budget_trip { reason = "label budget of 4 exhausted";
                               labels_used = 8 });
@@ -461,6 +469,11 @@ let test_explain_synthetic_dump () =
             "falling back to ClkPeakMin"; "budget-exhausted"; "skew window";
             "binding sinks"; "leaf 4"; "leaf 9"; "zones by wall time";
             "class 0 zone 1"; "label-capped"; "labels/row: 4*";
+            "class 1 zone 1"; "memo hit, label-capped";
+            "zone memo: 1 of 2 zone results reused";
+            "classes skipped by the cut-off (1)";
+            "class 2: zone 1 memoized peak 1234.5 uA >= best class peak \
+             1200.0 uA";
             "budget trips"; "caches"; "session"; "contention";
             "session.lock" ])
 
