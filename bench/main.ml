@@ -10,8 +10,7 @@
    Every experiment writes a machine-readable run report to
    BENCH_<name>.json in the current directory (override with
    WAVEMIN_BENCH_DIR); compare two reports with
-   `dune exec bench/check_regressions.exe -- A.json B.json` or
-   `wavemin bench-diff`.  A failing experiment is recorded in its report
+   `dune exec bin/wavemin.exe -- bench-diff A.json B.json`.  A failing experiment is recorded in its report
    as an error and does not abort the remaining experiments; the harness
    exits nonzero at the end if anything failed. *)
 

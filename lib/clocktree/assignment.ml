@@ -64,5 +64,3 @@ let count_leaves t tree ~pred =
 let leaf_cells t tree =
   Array.map (fun nd -> (nd.Tree.id, t.cells.(nd.Tree.id))) (Tree.leaves tree)
 
-let total_area t _tree =
-  Array.fold_left (fun acc c -> acc +. c.Cell.area) 0.0 t.cells

@@ -36,5 +36,3 @@ val count_leaves : t -> Tree.t -> pred:(Repro_cell.Cell.t -> bool) -> int
 val leaf_cells : t -> Tree.t -> (Tree.node_id * Repro_cell.Cell.t) array
 (** The (leaf id, assigned cell) pairs in id order. *)
 
-val total_area : t -> Tree.t -> float
-(** Sum of the assigned cells' areas (um^2). *)

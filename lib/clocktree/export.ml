@@ -135,11 +135,6 @@ let of_table input =
      with Invalid_argument msg -> Error msg)
     end
 
-let of_table_exn input =
-  match of_table input with
-  | Ok tree -> tree
-  | Error msg -> failwith ("Export.of_table: " ^ msg)
-
 let save_file path tree =
   let oc = open_out path in
   output_string oc (to_table tree);

@@ -22,9 +22,6 @@ val of_table : string -> (Tree.t, string) result
     {!Repro_cell.Library.find}.  Returns a description of the first
     offending line on failure. *)
 
-val of_table_exn : string -> Tree.t
-(** @raise Failure on malformed input. *)
-
 val save_file : string -> Tree.t -> unit
 (** Write {!to_table} output to a file. *)
 

@@ -132,20 +132,10 @@ let optimize (ctx : Context.t) =
     ctx.Context.classes;
   match !best with
   | None ->
-    let p = ctx.Context.params in
-    let effective_kappa =
-      Float.max 1.0 (p.Context.kappa -. p.Context.sibling_guard)
-    in
-    Verrors.fail ~code:Verrors.Infeasible_window ~stage:"clk_peakmin.optimize"
-      ~hints:
-        [ "widen the skew window (larger kappa) or reduce sibling_guard";
-          "run `wavemin validate` for a per-sink feasibility breakdown" ]
-      (Printf.sprintf
-         "%s (effective kappa %.2f ps = kappa %.2f ps - sibling guard %.2f \
-          ps)"
-         (Intervals.infeasibility_message ctx.Context.sinks
-            ~kappa:effective_kappa)
-         effective_kappa p.Context.kappa p.Context.sibling_guard)
+    raise
+      (Verrors.Error
+         (Context.infeasible_window ctx.Context.params
+            ~stage:"clk_peakmin.optimize" (Context.Sinks ctx.Context.sinks)))
   | Some ((cls, per_zone), _) ->
     let assignment = ref ctx.Context.base in
     Array.iter

@@ -114,27 +114,16 @@ let warm_init (ctx : Context.t) (table : Noise_table.t) ~avail ~previous =
       else first_available ~stage:"Clk_sa.warm_init" avail.(zi))
     table.Noise_table.sinks
 
-let infeasible (ctx : Context.t) =
-  let p = ctx.Context.params in
-  let effective_kappa =
-    Float.max 1.0 (p.Context.kappa -. p.Context.sibling_guard)
-  in
-  Verrors.fail ~code:Verrors.Infeasible_window ~stage:"clk_sa.optimize"
-    ~hints:
-      [ "widen the skew window (larger kappa) or reduce sibling_guard";
-        "run `wavemin validate` for a per-sink feasibility breakdown" ]
-    (Printf.sprintf
-       "%s (effective kappa %.2f ps = kappa %.2f ps - sibling guard %.2f ps)"
-       (Intervals.infeasibility_message ctx.Context.sinks
-          ~kappa:effective_kappa)
-       effective_kappa p.Context.kappa p.Context.sibling_guard)
-
 let optimize_stats ?(config = default_config) ?warm (ctx : Context.t) =
   Trace.with_span ~name:"clk_sa.optimize" @@ fun () ->
   let classes =
     List.filteri (fun i _ -> i < config.max_classes) ctx.Context.classes
   in
-  if classes = [] then infeasible ctx;
+  if classes = [] then
+    raise
+      (Verrors.Error
+         (Context.infeasible_window ctx.Context.params ~stage:"clk_sa.optimize"
+            (Context.Sinks ctx.Context.sinks)));
   let nzones = Array.length ctx.Context.tables in
   let best = ref None in
   let total_stats = ref Anneal.zero_stats in

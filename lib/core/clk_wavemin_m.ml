@@ -51,21 +51,24 @@ let finish tree params envs asg predicted ~used_adb_embedding ~approximate =
 (* Solve with verification: the optimizer's intervals use base-timing
    arrivals minus the sibling guard; if the realized skew still exceeds
    kappa (the sibling shifts were larger than the guard), retry with a
-   widened guard before giving up. *)
+   widened guard before giving up.  The modes are built once; a retry
+   re-derives only the guard-dependent intersections. *)
 let solve_verified params tree envs ?cells_of ~base ~cells () =
-  let rec attempt guard tries =
-    let params = { params with Context.sibling_guard = guard } in
-    let ctx = Multimode.create ~params ?cells_of tree ~base ~envs ~cells in
+  let rec attempt ctx tries =
     if not (Multimode.feasible ctx) then None
     else begin
       let sol = Multimode.solve ctx in
       let skews = Adb_embedding.skews tree sol.Multimode.assignment envs in
       if Array.for_all (fun s -> s <= params.Context.kappa) skews || tries <= 0
       then Some sol
-      else attempt (guard +. 3.0) (tries - 1)
+      else
+        attempt
+          (Multimode.with_sibling_guard ctx
+             (ctx.Multimode.params.Context.sibling_guard +. 3.0))
+          (tries - 1)
     end
   in
-  attempt params.Context.sibling_guard 2
+  attempt (Multimode.create ~params ?cells_of tree ~base ~envs ~cells) 2
 
 let optimize ?(params = Context.default_params) ?(buffers = default_buffers)
     ?(inverters = default_inverters) tree ~envs =

@@ -48,6 +48,13 @@ type interval_class = {
   degree_of_freedom : int;
 }
 
+type mode = {
+  env : Timing.env;
+  timing : Timing.result;
+  sinks : Intervals.sink array;
+  tables : Noise_table.t array;
+}
+
 type t = {
   tree : Tree.t;
   base : Assignment.t;
@@ -67,15 +74,54 @@ let degree_of_freedom avail =
       acc + Array.fold_left (fun a b -> if b then a + 1 else a) 0 row)
     0 avail
 
-let create ?(params = default_params) ?env ?base tree ~cells =
-  if cells = [] then invalid_arg "Context.create: empty cell library";
-  Trace.with_span ~name:"context.create"
-    ~attrs:[ ("leaves", string_of_int (Array.length (Tree.leaves tree))) ]
-  @@ fun () ->
-  let env = match env with Some e -> e | None -> Timing.nominal () in
-  let base =
-    match base with Some a -> a | None -> Assignment.default tree ~num_modes:1
+let effective_kappa p = Float.max 1.0 (p.kappa -. p.sibling_guard)
+
+type window_failure =
+  | Sinks of Intervals.sink array
+  | Validate of Intervals.sink array
+  | Modes of Intervals.sink array array
+
+let infeasible_window p ~stage failure =
+  let kappa = effective_kappa p in
+  let window =
+    Printf.sprintf
+      "(effective kappa %.2f ps = kappa %.2f ps - sibling guard %.2f ps)"
+      kappa p.kappa p.sibling_guard
   in
+  let widen = "widen the skew window (larger kappa) or reduce sibling_guard" in
+  let diagnosis sinks = Intervals.infeasibility_message sinks ~kappa in
+  let message, hints =
+    match failure with
+    | Sinks sinks ->
+      ( diagnosis sinks ^ " " ^ window,
+        [ widen; "run `wavemin validate` for a per-sink feasibility breakdown" ]
+      )
+    | Validate sinks -> (diagnosis sinks ^ " " ^ window, [ widen ])
+    | Modes per_mode ->
+      (* Pinpoint whether some mode is infeasible on its own, or every
+         mode is fine alone and only the cross-mode cell admission
+         (Table IV) is empty. *)
+      let alone =
+        Array.to_list per_mode
+        |> List.mapi (fun m sinks ->
+               match
+                 Intervals.feasible_intervals ~coalesce:p.coalesce sinks ~kappa
+               with
+               | [] -> Printf.sprintf "mode %d: %s" m (diagnosis sinks)
+               | ivs ->
+                 Printf.sprintf "mode %d: %d feasible interval(s) on its own" m
+                   (List.length ivs))
+        |> String.concat "; "
+      in
+      ( Printf.sprintf
+          "no feasible intersection across %d mode(s): no cell admits every \
+           sink in every mode %s; %s"
+          (Array.length per_mode) window alone,
+        [ widen; "drop or relax the mode that is infeasible on its own" ] )
+  in
+  Verrors.make ~code:Verrors.Infeasible_window ~stage ~hints message
+
+let build_mode params tree ~base ~zones ~cells_of env =
   let timing, falling =
     Trace.with_span ~name:"context.timing" (fun () ->
         ( Timing.analyze tree base env ~edge:Electrical.Rising,
@@ -83,9 +129,8 @@ let create ?(params = default_params) ?env ?base tree ~cells =
   in
   let sinks =
     Trace.with_span ~name:"context.sinks" (fun () ->
-        Intervals.collect tree base env timing ~cells)
+        Intervals.collect_per_leaf tree base env timing ~cells_of)
   in
-  let zones = Zones.partition tree ~side:params.zone_side in
   let num_leaves = Array.length (Tree.leaves tree) in
   let internal_ids = Array.map (fun nd -> nd.Tree.id) (Tree.internals tree) in
   let global_internal =
@@ -117,69 +162,82 @@ let create ?(params = default_params) ?env ?base tree ~cells =
           ~background:(global_internal, share) ~cache ())
       (Zones.zones zones)
   in
-  let classes =
-    Trace.with_span ~name:"context.interval_classes" @@ fun () ->
-    let effective_kappa =
-      Float.max 1.0 (params.kappa -. params.sibling_guard)
-    in
-    let feasible =
-      Intervals.feasible_intervals ~coalesce:params.coalesce sinks
-        ~kappa:effective_kappa
-    in
-    Obs_metrics.set feasible_intervals_g (float_of_int (List.length feasible));
-    (* Flight-record which sinks bound the window: the forensic answer
-       to "why is this kappa (in)feasible" in a post-mortem dump. *)
-    if Flight.enabled () then begin
-      match Intervals.binding_sinks sinks with
-      | None -> ()
-      | Some b ->
-        Flight.record
-          (Flight.Window
-             { kappa_ps = effective_kappa;
-               feasible = List.length feasible;
-               min_width_ps = Intervals.min_window_width b;
-               earliest_leaf = b.Intervals.earliest_leaf;
-               earliest_ps = b.Intervals.earliest_ps;
-               latest_leaf = b.Intervals.latest_leaf;
-               latest_ps = b.Intervals.latest_ps })
-    end;
-    let seen = Hashtbl.create 32 in
-    let classes =
-      List.filter_map
-        (fun interval ->
-          let avail = Intervals.availability sinks interval in
-          let key = Intervals.signature avail in
-          if Hashtbl.mem seen key then None
-          else begin
-            Hashtbl.add seen key ();
-            Some
-              { interval; avail; degree_of_freedom = degree_of_freedom avail }
-          end)
-        feasible
-    in
-    let classes =
-      List.sort
-        (fun a b -> Int.compare b.degree_of_freedom a.degree_of_freedom)
-        classes
-    in
-    List.filteri (fun i _ -> i < params.max_interval_classes) classes
+  { env; timing; sinks; tables }
+
+(* The interval-class step: deduplicate the feasible intervals by the
+   candidate sets they admit, rank by DoF, keep the top classes. *)
+let interval_classes params sinks =
+  Trace.with_span ~name:"context.interval_classes" @@ fun () ->
+  let effective_kappa = effective_kappa params in
+  let feasible =
+    Intervals.feasible_intervals ~coalesce:params.coalesce sinks
+      ~kappa:effective_kappa
   in
-  Obs_metrics.set sinks_g (float_of_int (Array.length sinks));
+  Obs_metrics.set feasible_intervals_g (float_of_int (List.length feasible));
+  (* Flight-record which sinks bound the window: the forensic answer
+     to "why is this kappa (in)feasible" in a post-mortem dump. *)
+  if Flight.enabled () then begin
+    match Intervals.binding_sinks sinks with
+    | None -> ()
+    | Some b ->
+      Flight.record
+        (Flight.Window
+           { kappa_ps = effective_kappa;
+             feasible = List.length feasible;
+             min_width_ps = Intervals.min_window_width b;
+             earliest_leaf = b.Intervals.earliest_leaf;
+             earliest_ps = b.Intervals.earliest_ps;
+             latest_leaf = b.Intervals.latest_leaf;
+             latest_ps = b.Intervals.latest_ps })
+  end;
+  let seen = Hashtbl.create 32 in
+  let classes =
+    List.filter_map
+      (fun interval ->
+        let avail = Intervals.availability sinks interval in
+        let key = Intervals.signature avail in
+        if Hashtbl.mem seen key then None
+        else begin
+          Hashtbl.add seen key ();
+          Some { interval; avail; degree_of_freedom = degree_of_freedom avail }
+        end)
+      feasible
+  in
+  let classes =
+    List.sort
+      (fun a b -> Int.compare b.degree_of_freedom a.degree_of_freedom)
+      classes
+  in
+  List.filteri (fun i _ -> i < params.max_interval_classes) classes
+
+let create ?(params = default_params) ?env ?base tree ~cells =
+  if cells = [] then invalid_arg "Context.create: empty cell library";
+  Trace.with_span ~name:"context.create"
+    ~attrs:[ ("leaves", string_of_int (Array.length (Tree.leaves tree))) ]
+  @@ fun () ->
+  let env = match env with Some e -> e | None -> Timing.nominal () in
+  let base =
+    match base with Some a -> a | None -> Assignment.default tree ~num_modes:1
+  in
+  let zones = Zones.partition tree ~side:params.zone_side in
+  let mode = build_mode params tree ~base ~zones ~cells_of:(fun _ -> cells) env in
+  let classes = interval_classes params mode.sinks in
+  Obs_metrics.set sinks_g (float_of_int (Array.length mode.sinks));
   Obs_metrics.set zones_g (float_of_int (Zones.num_zones zones));
   Obs_metrics.set classes_g (float_of_int (List.length classes));
   Log.debug (fun m ->
       m "context: %d sinks, %d zones, %d interval classes"
-        (Array.length sinks) (Zones.num_zones zones) (List.length classes));
+        (Array.length mode.sinks) (Zones.num_zones zones) (List.length classes));
   {
     tree;
     base;
     env;
-    timing;
+    timing = mode.timing;
     params;
     cells = Array.of_list cells;
-    sinks;
+    sinks = mode.sinks;
     zones;
-    tables;
+    tables = mode.tables;
     classes;
   }
 
@@ -327,18 +385,9 @@ let solve_with t ~zone_solver =
   in
   match best with
   | None ->
-    let effective_kappa =
-      Float.max 1.0 (t.params.kappa -. t.params.sibling_guard)
-    in
-    Verrors.fail ~code:Verrors.Infeasible_window ~stage:"context.solve"
-      ~hints:
-        [ "widen the skew window (larger kappa) or reduce sibling_guard";
-          "run `wavemin validate` for a per-sink feasibility breakdown" ]
-      (Printf.sprintf
-         "%s (effective kappa %.2f ps = kappa %.2f ps - sibling guard %.2f \
-          ps)"
-         (Intervals.infeasibility_message t.sinks ~kappa:effective_kappa)
-         effective_kappa t.params.kappa t.params.sibling_guard)
+    raise
+      (Verrors.Error
+         (infeasible_window t.params ~stage:"context.solve" (Sinks t.sinks)))
   | Some (cls, peak, per_zone) ->
     let assignment =
       apply_choices t (Array.map (fun (c, _, _) -> c) per_zone)

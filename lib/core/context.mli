@@ -39,6 +39,15 @@ type interval_class = {
   degree_of_freedom : int;
 }
 
+type mode = {
+  env : Timing.env;
+  timing : Timing.result;  (** Rising edge. *)
+  sinks : Intervals.sink array;  (** Global, leaf id order. *)
+  tables : Noise_table.t array;  (** One per zone. *)
+}
+(** One power mode's prepared state; none of it reads the sibling
+    guard. *)
+
 type t = {
   tree : Tree.t;
   base : Assignment.t;
@@ -51,6 +60,21 @@ type t = {
   tables : Noise_table.t array;  (** One per zone. *)
   classes : interval_class list;  (** DoF-descending. *)
 }
+
+val build_mode :
+  params ->
+  Tree.t ->
+  base:Assignment.t ->
+  zones:Zones.t ->
+  cells_of:(Tree.node_id -> Cell.t list) ->
+  Timing.env ->
+  mode
+(** The per-mode build behind {!create} and [Multimode.create]: rising
+    and falling timing of [base] under the environment, the candidate
+    arrivals of every leaf from its library [cells_of leaf], and one
+    noise table per zone (built zone-parallel over one waveform cache,
+    each zone carrying its leaf-proportional share of the non-leaf
+    background).  Reads [params.num_slots] only. *)
 
 val create :
   ?params:params ->
@@ -65,6 +89,27 @@ val create :
 
 val feasible : t -> bool
 (** At least one feasible interval class exists. *)
+
+val degree_of_freedom : bool array array -> int
+(** Number of [true] entries: the admitted (row, candidate) pairs. *)
+
+val effective_kappa : params -> float
+(** [max 1 (kappa - sibling_guard)]: the window width every feasible
+    interval is formed with. *)
+
+type window_failure =
+  | Sinks of Intervals.sink array  (** A solver found no class. *)
+  | Validate of Intervals.sink array
+      (** The preflight found none; no hint to run it again. *)
+  | Modes of Intervals.sink array array
+      (** ClkWaveMin-M found no intersection; sinks per mode. *)
+
+val infeasible_window :
+  params -> stage:string -> window_failure -> Repro_util.Verrors.t
+(** The [Infeasible_window] error every solver and the preflight
+    report: the binding-sink diagnosis at {!effective_kappa} (per mode
+    for [Modes]), how that width follows from kappa and the sibling
+    guard, and the hints. *)
 
 type outcome = {
   assignment : Assignment.t;

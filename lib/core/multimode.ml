@@ -3,13 +3,12 @@ module Tree = Repro_clocktree.Tree
 module Assignment = Repro_clocktree.Assignment
 module Timing = Repro_clocktree.Timing
 module Cell = Repro_cell.Cell
-module Electrical = Repro_cell.Electrical
 module Layered = Repro_mosp.Layered
 module Warburton = Repro_mosp.Warburton
 module Trace = Repro_obs.Trace
 module Par = Repro_par.Par
 
-type mode = {
+type mode = Context.mode = {
   env : Timing.env;
   timing : Timing.result;
   sinks : Intervals.sink array;
@@ -68,22 +67,133 @@ let mode_cell_admission universe (sinks : Intervals.sink array) interval =
     sinks;
   (admit, via)
 
-let signature_of admit =
-  let buf = Buffer.create 128 in
-  Array.iter
-    (fun row ->
-      Array.iter (fun b -> Buffer.add_char buf (if b then '1' else '0')) row;
-      Buffer.add_char buf '|')
-    admit;
-  Buffer.contents buf
-
-let dof admit =
-  Array.fold_left
-    (fun acc row ->
-      acc + Array.fold_left (fun a b -> if b then a + 1 else a) 0 row)
-    0 admit
-
 let per_mode_interval_cap = 10
+
+(* The one guard-dependent step: per-mode feasible intervals at the
+   effective kappa, then their feasible cross-mode intersections. *)
+let intersections t =
+  let params = t.params in
+  let effective_kappa = Context.effective_kappa params in
+  (* Per-mode feasible intervals, deduplicated at the cell level and
+     capped by DoF. *)
+  let per_mode_intervals =
+    Array.map
+      (fun md ->
+        let ivs =
+          Intervals.feasible_intervals ~coalesce:params.Context.coalesce
+            md.sinks ~kappa:effective_kappa
+        in
+        let seen = Hashtbl.create 16 in
+        let described =
+          List.filter_map
+            (fun iv ->
+              let admit, via = mode_cell_admission t.cell_universe md.sinks iv in
+              let key = Intervals.signature admit in
+              if Hashtbl.mem seen key then None
+              else begin
+                Hashtbl.add seen key ();
+                Some (iv, admit, via, Context.degree_of_freedom admit)
+              end)
+            ivs
+        in
+        let described =
+          List.sort (fun (_, _, _, a) (_, _, _, b) -> Int.compare b a) described
+        in
+        List.filteri (fun i _ -> i < per_mode_interval_cap) described)
+      t.modes
+  in
+  (* Cartesian product of per-mode intervals -> feasible intersections.
+     The per-mode lists are DoF-capped, so additionally force in, per
+     mode, the TRIVIAL window anchored at the maximum base-assignment
+     arrival: the combo of trivial windows always admits keeping every
+     sink's current cell (the paper's guaranteed solution after ADB
+     embedding), so it must never be pruned away. *)
+  let num_rows = Array.length t.sink_cells in
+  let num_cells = Array.length t.cell_universe in
+  let trivial_described =
+    Array.mapi
+      (fun m md ->
+        let hi =
+          Array.fold_left
+            (fun acc (s : Intervals.sink) ->
+              let base_cell = Assignment.cell t.base s.Intervals.leaf_id in
+              let extra =
+                Assignment.extra_delay t.base ~mode:m s.Intervals.leaf_id
+              in
+              let arrival =
+                Array.fold_left
+                  (fun best (c : Intervals.candidate) ->
+                    if
+                      Cell.equal c.Intervals.cell base_cell
+                      && Float.abs (c.Intervals.extra -. extra) < 1e-9
+                    then c.Intervals.arrival
+                    else best)
+                  nan s.Intervals.candidates
+              in
+              if Float.is_nan arrival then acc else Float.max acc arrival)
+            neg_infinity md.sinks
+        in
+        let iv = { Intervals.lo = hi -. effective_kappa; hi } in
+        let admit, via = mode_cell_admission t.cell_universe md.sinks iv in
+        (iv, admit, via, Context.degree_of_freedom admit))
+      t.modes
+  in
+  let per_mode_intervals =
+    Array.mapi
+      (fun m described -> trivial_described.(m) :: described)
+      per_mode_intervals
+  in
+  let rec product = function
+    | [] -> [ [] ]
+    | choices :: rest ->
+      let tails = product rest in
+      List.concat_map (fun c -> List.map (fun t -> c :: t) tails) choices
+  in
+  let combos = product (Array.to_list per_mode_intervals) in
+  let seen = Hashtbl.create 64 in
+  let intersections =
+    List.filter_map
+      (fun combo ->
+        let combo = Array.of_list combo in
+        let cell_avail =
+          Array.init num_rows (fun row ->
+              Array.init num_cells (fun k ->
+                  t.sink_cells.(row).(k)
+                  && Array.for_all
+                       (fun (_, admit, _, _) -> admit.(row).(k))
+                       combo))
+        in
+        let ok =
+          Array.for_all (fun row -> Array.exists (fun b -> b) row) cell_avail
+        in
+        if not ok then None
+        else begin
+          let key = Intervals.signature cell_avail in
+          if Hashtbl.mem seen key then None
+          else begin
+            Hashtbl.add seen key ();
+            let chosen_candidate =
+              Array.map (fun (_, _, via, _) -> via) combo
+            in
+            Some
+              {
+                intervals = Array.map (fun (iv, _, _, _) -> iv) combo;
+                cell_avail;
+                chosen_candidate;
+                degree_of_freedom = Context.degree_of_freedom cell_avail;
+              }
+          end
+        end)
+      combos
+  in
+  let intersections =
+    List.sort
+      (fun a b -> Int.compare b.degree_of_freedom a.degree_of_freedom)
+      intersections
+  in
+  List.filteri
+    (fun i _ -> i < params.Context.max_interval_classes)
+    intersections
 
 let create ?(params = Context.default_params) ?cells_of tree ~base ~envs ~cells =
   if Array.length envs = 0 then invalid_arg "Multimode.create: no modes";
@@ -113,175 +223,25 @@ let create ?(params = Context.default_params) ?cells_of tree ~base ~envs ~cells 
       leaves
   in
   let zones = Zones.partition tree ~side:params.Context.zone_side in
-  (* Power modes are independent until intersection time, so their
-     timing analyses and noise tables build concurrently; results are
-     index-addressed per mode. *)
+  (* Each mode is the single-mode build under its own environment; its
+     noise tables fan out over the zones. *)
   let modes =
-    Par.parallel_map ~label:"multimode.modes"
-      (fun (m, env) ->
+    Array.mapi
+      (fun m env ->
         if env.Timing.mode <> m then
           invalid_arg "Multimode.create: env.mode must equal its index";
-        let timing = Timing.analyze tree base env ~edge:Electrical.Rising in
-        let falling = Timing.analyze tree base env ~edge:Electrical.Falling in
-        let sinks = Intervals.collect_per_leaf tree base env timing ~cells_of in
-        let num_leaves = Array.length leaves in
-        let internal_ids =
-          Array.map (fun nd -> nd.Tree.id) (Tree.internals tree)
-        in
-        let global_internal =
-          if Array.length internal_ids = 0 then
-            { Electrical.idd = Repro_waveform.Pwl.zero;
-              iss = Repro_waveform.Pwl.zero }
-          else
-            Waveforms.period_rail_currents tree base env ~node_ids:internal_ids
-              ~period:Noise_table.default_period ()
-        in
-        let cache = Waveforms.create_cache () in
-        let tables =
-          Array.map
-            (fun zone ->
-              let share =
-                float_of_int (Array.length zone.Zones.leaf_ids)
-                /. float_of_int (max 1 num_leaves)
-              in
-              Noise_table.build tree base env ~rising:timing ~falling ~sinks
-                ~zone ~num_slots:params.Context.num_slots
-                ~background:(global_internal, share) ~cache ())
-            (Zones.zones zones)
-        in
-        { env; timing; sinks; tables })
-      (Array.mapi (fun m env -> (m, env)) envs)
+        Context.build_mode params tree ~base ~zones ~cells_of env)
+      envs
   in
-  (* Per-mode feasible intervals, deduplicated at the cell level and
-     capped by DoF. *)
-  let per_mode_intervals =
-    Array.map
-      (fun md ->
-        let effective_kappa =
-          Float.max 1.0
-            (params.Context.kappa -. params.Context.sibling_guard)
-        in
-        let ivs =
-          Intervals.feasible_intervals ~coalesce:params.Context.coalesce
-            md.sinks ~kappa:effective_kappa
-        in
-        let seen = Hashtbl.create 16 in
-        let described =
-          List.filter_map
-            (fun iv ->
-              let admit, via = mode_cell_admission cell_universe md.sinks iv in
-              let key = signature_of admit in
-              if Hashtbl.mem seen key then None
-              else begin
-                Hashtbl.add seen key ();
-                Some (iv, admit, via, dof admit)
-              end)
-            ivs
-        in
-        let described =
-          List.sort (fun (_, _, _, a) (_, _, _, b) -> Int.compare b a) described
-        in
-        List.filteri (fun i _ -> i < per_mode_interval_cap) described)
-      modes
+  let t =
+    { tree; base; params; cell_universe; sink_cells; zones; modes;
+      intersections = [] }
   in
-  (* Cartesian product of per-mode intervals -> feasible intersections.
-     The per-mode lists are DoF-capped, so additionally force in, per
-     mode, the TRIVIAL window anchored at the maximum base-assignment
-     arrival: the combo of trivial windows always admits keeping every
-     sink's current cell (the paper's guaranteed solution after ADB
-     embedding), so it must never be pruned away. *)
-  let num_rows = Array.length leaves in
-  let num_cells = Array.length cell_universe in
-  let trivial_described =
-    Array.mapi
-      (fun m md ->
-        let hi =
-          Array.fold_left
-            (fun acc (s : Intervals.sink) ->
-              let base_cell = Assignment.cell base s.Intervals.leaf_id in
-              let extra =
-                Assignment.extra_delay base ~mode:m s.Intervals.leaf_id
-              in
-              let arrival =
-                Array.fold_left
-                  (fun best (c : Intervals.candidate) ->
-                    if
-                      Cell.equal c.Intervals.cell base_cell
-                      && Float.abs (c.Intervals.extra -. extra) < 1e-9
-                    then c.Intervals.arrival
-                    else best)
-                  nan s.Intervals.candidates
-              in
-              if Float.is_nan arrival then acc else Float.max acc arrival)
-            neg_infinity md.sinks
-        in
-        let effective_kappa =
-          Float.max 1.0 (params.Context.kappa -. params.Context.sibling_guard)
-        in
-        let iv = { Intervals.lo = hi -. effective_kappa; hi } in
-        let admit, via = mode_cell_admission cell_universe md.sinks iv in
-        (iv, admit, via, dof admit))
-      modes
-  in
-  let per_mode_intervals =
-    Array.mapi
-      (fun m described -> trivial_described.(m) :: described)
-      per_mode_intervals
-  in
-  let rec product = function
-    | [] -> [ [] ]
-    | choices :: rest ->
-      let tails = product rest in
-      List.concat_map (fun c -> List.map (fun t -> c :: t) tails) choices
-  in
-  let combos = product (Array.to_list per_mode_intervals) in
-  let seen = Hashtbl.create 64 in
-  let intersections =
-    List.filter_map
-      (fun combo ->
-        let combo = Array.of_list combo in
-        let cell_avail =
-          Array.init num_rows (fun row ->
-              Array.init num_cells (fun k ->
-                  sink_cells.(row).(k)
-                  && Array.for_all
-                       (fun (_, admit, _, _) -> admit.(row).(k))
-                       combo))
-        in
-        let ok =
-          Array.for_all (fun row -> Array.exists (fun b -> b) row) cell_avail
-        in
-        if not ok then None
-        else begin
-          let key = signature_of cell_avail in
-          if Hashtbl.mem seen key then None
-          else begin
-            Hashtbl.add seen key ();
-            let chosen_candidate =
-              Array.map (fun (_, _, via, _) -> via) combo
-            in
-            Some
-              {
-                intervals = Array.map (fun (iv, _, _, _) -> iv) combo;
-                cell_avail;
-                chosen_candidate;
-                degree_of_freedom = dof cell_avail;
-              }
-          end
-        end)
-      combos
-  in
-  let intersections =
-    List.sort
-      (fun a b -> Int.compare b.degree_of_freedom a.degree_of_freedom)
-      intersections
-  in
-  let intersections =
-    List.filteri
-      (fun i _ -> i < params.Context.max_interval_classes)
-      intersections
-  in
-  { tree; base; params; cell_universe; sink_cells; zones; modes; intersections }
+  { t with intersections = intersections t }
+
+let with_sibling_guard t sibling_guard =
+  let t = { t with params = { t.params with Context.sibling_guard } } in
+  { t with intersections = intersections t }
 
 let feasible t = t.intersections <> []
 
@@ -398,40 +358,10 @@ let solve t =
   in
   match best with
   | None ->
-    let p = t.params in
-    let effective_kappa =
-      Float.max 1.0 (p.Context.kappa -. p.Context.sibling_guard)
-    in
-    (* Pinpoint whether some mode is infeasible on its own, or every
-       mode is fine alone and only the cross-mode cell admission
-       (Table IV) is empty. *)
-    let per_mode =
-      Array.to_list t.modes
-      |> List.mapi (fun m md ->
-             match
-               Intervals.feasible_intervals ~coalesce:p.Context.coalesce
-                 md.sinks ~kappa:effective_kappa
-             with
-             | [] ->
-               Printf.sprintf "mode %d: %s" m
-                 (Intervals.infeasibility_message md.sinks
-                    ~kappa:effective_kappa)
-             | ivs ->
-               Printf.sprintf
-                 "mode %d: %d feasible interval(s) on its own" m
-                 (List.length ivs))
-      |> String.concat "; "
-    in
-    Verrors.fail ~code:Verrors.Infeasible_window ~stage:"multimode.solve"
-      ~hints:
-        [ "widen the skew window (larger kappa) or reduce sibling_guard";
-          "drop or relax the mode that is infeasible on its own" ]
-      (Printf.sprintf
-         "no feasible intersection across %d mode(s): no cell admits every \
-          sink in every mode (effective kappa %.2f ps = kappa %.2f ps - \
-          sibling guard %.2f ps); %s"
-         (Array.length t.modes) effective_kappa p.Context.kappa
-         p.Context.sibling_guard per_mode)
+    raise
+      (Verrors.Error
+         (Context.infeasible_window t.params ~stage:"multimode.solve"
+            (Context.Modes (Array.map (fun md -> md.sinks) t.modes))))
   | Some (inter, peak, per_zone) ->
     {
       assignment = apply t inter (Array.map (fun (c, _, _) -> c) per_zone);

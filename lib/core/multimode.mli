@@ -16,7 +16,7 @@ module Assignment := Repro_clocktree.Assignment
 module Timing := Repro_clocktree.Timing
 module Cell := Repro_cell.Cell
 
-type mode = {
+type mode = Context.mode = {
   env : Timing.env;
   timing : Timing.result;
   sinks : Intervals.sink array;  (** Per-mode candidate arrivals. *)
@@ -62,6 +62,12 @@ val create :
     of [base], with [env.mode] set accordingly.  [cells_of] overrides
     the candidate library per leaf (defaults to [cells] everywhere).
     @raise Invalid_argument on empty modes or libraries. *)
+
+val with_sibling_guard : t -> float -> t
+(** [with_sibling_guard t g] equals [create] at [sibling_guard = g] on
+    the same inputs.  Only the intersections depend on the guard, so
+    they are the only part re-derived; the modes, cell universe and
+    zones are shared with [t]. *)
 
 val feasible : t -> bool
 

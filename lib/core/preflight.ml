@@ -231,27 +231,15 @@ let check_feasibility ?(params = Context.default_params) tree ~cells =
         let base = Assignment.default tree ~num_modes:1 in
         let timing = Timing.analyze tree base env ~edge:Repro_cell.Electrical.Rising in
         let sinks = Intervals.collect tree base env timing ~cells in
-        let effective_kappa =
-          Float.max 1.0 (params.Context.kappa -. params.Context.sibling_guard)
-        in
         (match
            Intervals.feasible_intervals ~coalesce:params.Context.coalesce
-             sinks ~kappa:effective_kappa
+             sinks ~kappa:(Context.effective_kappa params)
          with
         | _ :: _ -> ()
         | [] ->
           ds :=
-            Verrors.make ~code:Verrors.Infeasible_window
-              ~stage:"preflight.feasibility"
-              ~hints:
-                [ "widen the skew window (larger kappa) or reduce \
-                   sibling_guard" ]
-              (Printf.sprintf
-                 "%s (effective kappa %.2f ps = kappa %.2f ps - sibling \
-                  guard %.2f ps)"
-                 (Intervals.infeasibility_message sinks ~kappa:effective_kappa)
-                 effective_kappa params.Context.kappa
-                 params.Context.sibling_guard)
+            Context.infeasible_window params ~stage:"preflight.feasibility"
+              (Context.Validate sinks)
             :: !ds);
         List.rev !ds)
   with

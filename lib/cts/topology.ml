@@ -130,32 +130,6 @@ let add_repeaters rng tree ~extra =
   let rec go k tree = if k = 0 then tree else go (k - 1) (insert_one rng tree) in
   go extra tree
 
-let with_internal_count rng sinks ~internals =
-  if internals < 1 then invalid_arg "Topology.with_internal_count: internals < 1";
-  let n = Array.length sinks in
-  if n = 0 then invalid_arg "Topology.with_internal_count: no sinks";
-  if n = 1 then
-    add_repeaters rng
-      (Tap
-         {
-           x = sinks.(0).Placement.x;
-           y = sinks.(0).Placement.y;
-           children =
-             [ Sink_leaf
-                 { index = 0; x = sinks.(0).Placement.x; y = sinks.(0).Placement.y } ];
-         })
-      ~extra:(internals - 1)
-  else begin
-    let rec find b =
-      if b > n then bisect sinks ~branching:n
-      else
-        let candidate = bisect sinks ~branching:b in
-        if internal_count candidate <= internals then candidate else find (b + 1)
-    in
-    let base = find 2 in
-    add_repeaters rng base ~extra:(internals - internal_count base)
-  end
-
 let budgeted sinks ~taps =
   if taps < 1 then invalid_arg "Topology.budgeted: taps < 1";
   let n = Array.length sinks in

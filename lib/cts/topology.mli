@@ -28,12 +28,6 @@ val add_repeaters : Repro_util.Rng.t -> t -> extra:int -> t
     the longest parent-child edges first.
     @raise Invalid_argument if [extra < 0]. *)
 
-val with_internal_count : Repro_util.Rng.t -> Placement.sink array -> internals:int -> t
-(** Build a topology whose internal-node count is exactly [internals]:
-    choose the smallest branching factor whose bisection does not exceed
-    the target, then pad with repeaters.
-    @raise Invalid_argument if [internals < 1]. *)
-
 val budgeted : Placement.sink array -> taps:int -> t
 (** Build a topology that consumes {e exactly} [min taps (max 1 (n-1))]
     taps (internal nodes), where [n] is the sink count: the budget is

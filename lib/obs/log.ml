@@ -21,5 +21,3 @@ let level_of_string s =
   | "info" -> Ok (Some Logs.Info)
   | "debug" -> Ok (Some Logs.Debug)
   | _ -> Error (Printf.sprintf "unknown log level %S" s)
-
-let level_names = [ "quiet"; "app"; "error"; "warning"; "info"; "debug" ]

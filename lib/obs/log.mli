@@ -16,6 +16,3 @@ val setup : ?level:Logs.level option -> unit -> unit
 val level_of_string : string -> (Logs.level option, string) result
 (** Parse ["quiet"], ["app"], ["error"], ["warning"]/["warn"],
     ["info"] or ["debug"]. *)
-
-val level_names : string list
-(** Accepted spellings for {!level_of_string}, for CLI docs. *)

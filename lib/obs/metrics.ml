@@ -241,8 +241,6 @@ let to_json () =
          | Histogram_value s -> Json.Obj (common "histogram" @ histogram_stats_fields s))
        (snapshot ()))
 
-let dump_json () = Json.to_string_pretty (to_json ())
-
 let dump () =
   let t =
     Table.create

@@ -88,10 +88,6 @@ val to_json : unit -> Repro_util.Json.t
     [{"name", "kind", ...kind-specific fields}] objects.  Non-finite
     histogram extrema (the empty-histogram sentinels) are omitted. *)
 
-val dump_json : unit -> string
-(** {!to_json} rendered pretty-printed — the [--json] counterpart of
-    {!dump}. *)
-
 val reset : unit -> unit
 (** Zero every instrument; registrations (and handles) survive. *)
 

@@ -30,14 +30,6 @@ let code_name = function
   | Io_error -> "io-error"
   | Internal -> "internal"
 
-let all_codes =
-  [ Parse_error; Invalid_tree; Invalid_library; Invalid_params; Invalid_modes;
-    Empty_zones; Infeasible_window; Label_cap; Budget_exhausted;
-    Deadline_exceeded; Fault_injected; Overloaded; Io_error; Internal ]
-
-let code_of_name name =
-  List.find_opt (fun c -> String.equal (code_name c) name) all_codes
-
 type t = {
   code : code;
   stage : string;

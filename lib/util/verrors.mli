@@ -37,8 +37,6 @@ type code =
 val code_name : code -> string
 (** Stable kebab-case identifier, e.g. ["infeasible-window"]. *)
 
-val code_of_name : string -> code option
-
 type t = {
   code : code;
   stage : string;  (** e.g. ["context.solve"], ["liberty.parse"]. *)

@@ -1,4 +1,3 @@
-module Dag = Repro_mosp.Dag
 module Layered = Repro_mosp.Layered
 module Warburton = Repro_mosp.Warburton
 module Rng = Repro_util.Rng

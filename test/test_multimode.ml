@@ -256,6 +256,57 @@ let test_embedding_guarantees_intersection () =
       (Multimode.feasible mm)
   end
 
+(* The sibling-guard retry: on this tree the solutions at guards 0 and
+   3 ps break kappa, so ClkWaveMin-M widens the guard twice.  Each widened context must equal a fresh build at that guard,
+   and optimize must return what fresh builds per guard would give. *)
+let test_guard_retry_matches_fresh_create () =
+  let t = tree ~seed:5 ~leaves:10 ~internals:3 () in
+  let envs = envs_for t in
+  let params = { params with Context.kappa = 20.0; sibling_guard = 0.0 } in
+  let base = Assignment.default t ~num_modes:2 in
+  let fresh guard =
+    Multimode.create ~params:{ params with Context.sibling_guard = guard } t
+      ~base ~envs ~cells:plain_cells
+  in
+  let solve mm =
+    let sol = Multimode.solve mm in
+    let ok =
+      Array.for_all
+        (fun s -> s <= params.Context.kappa)
+        (Adb_embedding.skews t sol.Multimode.assignment envs)
+    in
+    (sol, ok)
+  in
+  let first = fresh params.Context.sibling_guard in
+  Alcotest.(check bool) "first guard breaks kappa" false (snd (solve first));
+  (* The retry loop of ClkWaveMin-M, once over widened contexts and
+     once over fresh ones. *)
+  let rec retry widened tries =
+    let guard = widened.Multimode.params.Context.sibling_guard in
+    let built = fresh guard in
+    Alcotest.(check bool)
+      (Printf.sprintf "intersections at guard %g" guard)
+      true
+      (widened.Multimode.intersections = built.Multimode.intersections);
+    Alcotest.(check bool)
+      (Printf.sprintf "modes shared at guard %g" guard)
+      true
+      (widened.Multimode.modes == first.Multimode.modes);
+    let sol, ok = solve built in
+    if ok || tries <= 0 then (sol, guard)
+    else retry (Multimode.with_sibling_guard widened (guard +. 3.0)) (tries - 1)
+  in
+  let sol, last_guard = retry first 2 in
+  Alcotest.(check (float 0.0)) "widened twice" 6.0 last_guard;
+  let o = Clk_wavemin_m.optimize ~params t ~envs in
+  Alcotest.(check bool) "no ADB embedding" false
+    o.Clk_wavemin_m.used_adb_embedding;
+  Alcotest.(check bool) "assignment" true
+    (o.Clk_wavemin_m.assignment = sol.Multimode.assignment);
+  Alcotest.(check int64) "predicted peak bits"
+    (Int64.bits_of_float sol.Multimode.predicted_peak_ua)
+    (Int64.bits_of_float o.Clk_wavemin_m.predicted_peak_ua)
+
 let test_adb_embedded_only_reference () =
   let t = tree ~leaves:10 ~internals:3 () in
   let envs = envs_for t in
@@ -295,5 +346,7 @@ let () =
             test_embedding_guarantees_intersection;
           Alcotest.test_case "embedded-only reference" `Quick
             test_adb_embedded_only_reference;
+          Alcotest.test_case "guard retry == fresh create" `Quick
+            test_guard_retry_matches_fresh_create;
         ] );
     ]

@@ -76,6 +76,68 @@ let test_context_infeasible_kappa () =
     contains "kappa";
     contains "leaf "
 
+(* The whole Infeasible_window error of every caller, pinned on one
+   infeasible tree: code, stage, subject, message and hints, byte for
+   byte.  The four single-mode callers share the binding-sink
+   diagnosis; ClkWaveMin-M wraps it per mode. *)
+let test_infeasible_window_pinned () =
+  let module Verrors = Repro_util.Verrors in
+  let params = { small_params with Context.kappa = 0.01 } in
+  let t = tree () in
+  let ctx = Context.create ~params t ~cells in
+  let diagnosis =
+    "no feasible interval: no window of width kappa = 1.00 ps anchored at \
+     a candidate arrival covers every sink, although the binding sinks \
+     only require 0.00 ps (leaf 6's candidates end earliest at 181.89 ps, \
+     leaf 5's start latest at 177.70 ps); the sinks' arrival sets leave \
+     gaps, so raise kappa or loosen coalescing"
+  in
+  let window =
+    "(effective kappa 1.00 ps = kappa 0.01 ps - sibling guard 4.00 ps)"
+  in
+  let widen = "widen the skew window (larger kappa) or reduce sibling_guard" in
+  let validate = "run `wavemin validate` for a per-sink feasibility breakdown" in
+  let expect ~stage ~hints message =
+    { Verrors.code = Verrors.Infeasible_window; stage; subject = None;
+      message; hints }
+  in
+  let check (e : Verrors.t) (want : Verrors.t) =
+    Alcotest.(check string) (want.stage ^ " code")
+      (Verrors.code_name want.code) (Verrors.code_name e.code);
+    Alcotest.(check string) (want.stage ^ " stage") want.stage e.stage;
+    Alcotest.(check (option string)) (want.stage ^ " subject") want.subject
+      e.subject;
+    Alcotest.(check string) (want.stage ^ " message") want.message e.message;
+    Alcotest.(check (list string)) (want.stage ^ " hints") want.hints e.hints
+  in
+  let raised f want =
+    match f () with
+    | () -> Alcotest.fail (want.Verrors.stage ^ " must fail")
+    | exception Verrors.Error e -> check e want
+  in
+  let single stage = expect ~stage ~hints:[ widen; validate ] (diagnosis ^ " " ^ window) in
+  raised (fun () -> ignore (Clk_wavemin.optimize ctx)) (single "context.solve");
+  raised (fun () -> ignore (Repro_core.Clk_sa.optimize ctx)) (single "clk_sa.optimize");
+  raised (fun () -> ignore (Clk_peakmin.optimize ctx)) (single "clk_peakmin.optimize");
+  (match Repro_core.Preflight.check_feasibility ~params t ~cells with
+  | [ e ] ->
+    check e
+      (expect ~stage:"preflight.feasibility" ~hints:[ widen ]
+         (diagnosis ^ " " ^ window))
+  | ds -> Alcotest.failf "preflight: %d diagnostics, want 1" (List.length ds));
+  let envs = [| Timing.nominal ~mode:0 (); Timing.nominal ~mode:1 () |] in
+  let mm =
+    Repro_core.Multimode.create ~params t
+      ~base:(Assignment.default t ~num_modes:2) ~envs ~cells
+  in
+  raised
+    (fun () -> ignore (Repro_core.Multimode.solve mm))
+    (expect ~stage:"multimode.solve"
+       ~hints:[ widen; "drop or relax the mode that is infeasible on its own" ]
+       ("no feasible intersection across 2 mode(s): no cell admits every \
+         sink in every mode " ^ window ^ "; mode 0: " ^ diagnosis
+       ^ "; mode 1: " ^ diagnosis))
+
 (* ------------------------------------------------------------------ *)
 (* Skew safety: every algorithm's output must respect kappa            *)
 
@@ -481,6 +543,8 @@ let () =
           Alcotest.test_case "rejects empty cells" `Quick
             test_context_rejects_empty_cells;
           Alcotest.test_case "infeasible kappa" `Quick test_context_infeasible_kappa;
+          Alcotest.test_case "infeasible window pinned" `Quick
+            test_infeasible_window_pinned;
         ] );
       ( "skew safety",
         [
