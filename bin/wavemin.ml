@@ -1180,40 +1180,21 @@ let client_cmd =
                 in
                 Ok (resp, elapsed_ms, server_side))
         in
-        (* Same retry policy as {!Client.request_retry}, kept inline so
-           the --time breakdown still rides the winning connection. *)
         let rng =
-          lazy
-            (Repro_util.Rng.create
-               ~seed:
-                 (int_of_float (Float.rem (Obs_clock.now_s () *. 1e3) 1e9)
-                 lxor 0x5eed))
+          Repro_util.Rng.create
+            ~seed:
+              (int_of_float (Float.rem (Obs_clock.now_s () *. 1e3) 1e9)
+              lxor 0x5eed)
         in
-        let backoff attempt why =
-          let ms =
-            Float.max 0.0 retry_backoff
-            *. (2.0 ** float_of_int attempt)
-            *. Repro_util.Rng.uniform (Lazy.force rng) ~lo:0.5 ~hi:1.5
-          in
-          Format.eprintf "wavemin: %s; retry %d/%d in %.0f ms@." why
-            (attempt + 1) retries ms;
-          Thread.delay (ms /. 1000.0)
+        let on_retry ~attempt ~why ~delay_ms =
+          Format.eprintf "wavemin: %s; retry %d/%d in %.0f ms@." why attempt
+            retries delay_ms
         in
-        let overloaded (resp : Proto.response) =
-          (not resp.Proto.ok)
-          && Json.member "code" resp.Proto.body = Some (Json.Str "overloaded")
-        in
-        let rec attempt n =
-          match attempt_once () with
-          | Error e when e.Verrors.code = Verrors.Io_error && n < retries ->
-            backoff n (Verrors.code_name e.Verrors.code);
-            attempt (n + 1)
-          | Ok (resp, _, _) when overloaded resp && n < retries ->
-            backoff n "overloaded";
-            attempt (n + 1)
-          | outcome -> outcome
-        in
-        match attempt 0 with
+        match
+          Client.retry ~retries ~backoff_ms:retry_backoff ~rng ~on_retry
+            ~response:(fun (resp, _, _) -> resp)
+            attempt_once
+        with
         | Error e ->
           print_verror e;
           2
@@ -1643,190 +1624,6 @@ let explain_cmd =
           $ budget_arg $ max_labels_arg $ output_arg $ jobs_arg
           $ log_level_arg $ trace_arg $ metrics_arg)
 
-(* ---- chaos: a misbehaving peer on demand --------------------------- *)
-
-(* Drives the server's abuse paths from the outside, with nothing but
-   raw sockets — the smoke tests' slowloris, flood and mid-request
-   disconnect tooling (no dependency on socat/nc).  Each mode prints
-   one `chaos MODE: ...' line describing what the server did. *)
-let chaos_cmd =
-  let mode_arg =
-    let doc =
-      "What to do to the server: $(b,dribble) (send a request \
-       byte-at-a-time and never finish the line — slowloris), \
-       $(b,oversize) (stream one giant newline-less line), $(b,hang) \
-       (connect and send nothing), $(b,disconnect) (send a valid heavy \
-       request, then close without reading the response)."
-    in
-    Arg.(required
-         & pos 0
-             (some
-                (enum
-                   [ ("dribble", `Dribble); ("oversize", `Oversize);
-                     ("hang", `Hang); ("disconnect", `Disconnect) ]))
-             None
-         & info [] ~docv:"MODE" ~doc)
-  in
-  let bytes_arg =
-    let doc = "For $(b,oversize): bytes streamed (newline-less)." in
-    Arg.(value & opt int (2 * (1 lsl 20)) & info [ "bytes" ] ~docv:"N" ~doc)
-  in
-  let delay_arg =
-    let doc = "For $(b,dribble): inter-byte delay in seconds." in
-    Arg.(value & opt float 0.05 & info [ "delay" ] ~docv:"SECONDS" ~doc)
-  in
-  let wait_arg =
-    let doc =
-      "How long to wait for the server's verdict (a response line or \
-       the connection being closed) before giving up."
-    in
-    Arg.(value & opt float 30.0 & info [ "wait" ] ~docv:"SECONDS" ~doc)
-  in
-  let benchmark_arg =
-    let doc = "For $(b,disconnect): benchmark in the abandoned request." in
-    Arg.(value & opt string "s15850"
-         & info [ "benchmark"; "b" ] ~docv:"BENCHMARK" ~doc)
-  in
-  let raw_connect address =
-    match (address : Server.address) with
-    | Server.Unix_path path ->
-      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX path);
-      fd
-    | Server.Tcp { host; port } ->
-      let addr =
-        try Unix.inet_addr_of_string host
-        with Failure _ -> (
-          match Unix.gethostbyname host with
-          | { Unix.h_addr_list = [||]; _ } | (exception Not_found) ->
-            failwith (Printf.sprintf "cannot resolve host %s" host)
-          | { Unix.h_addr_list; _ } -> h_addr_list.(0))
-      in
-      let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_INET (addr, port));
-      fd
-  in
-  (* Wait for the server's verdict: returns the first line it sends, or
-     [`Closed] on EOF, or [`Silent] after [wait] seconds. *)
-  let await_verdict fd wait =
-    let buf = Buffer.create 256 in
-    let chunk = Bytes.create 4096 in
-    let deadline = Obs_clock.now_s () +. wait in
-    let rec go () =
-      let left = deadline -. Obs_clock.now_s () in
-      if left <= 0.0 then `Silent
-      else
-        match Unix.select [ fd ] [] [] (Float.min 0.25 left) with
-        | [], _, _ -> go ()
-        | _, _, _ -> (
-          match Unix.read fd chunk 0 (Bytes.length chunk) with
-          | 0 -> if Buffer.length buf > 0 then `Line (Buffer.contents buf) else `Closed
-          | n -> (
-            Buffer.add_subbytes buf chunk 0 n;
-            match String.index_opt (Buffer.contents buf) '\n' with
-            | Some i -> `Line (String.sub (Buffer.contents buf) 0 i)
-            | None -> go ())
-          | exception Unix.Unix_error _ -> `Closed)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-        | exception Unix.Unix_error _ -> `Closed
-    in
-    go ()
-  in
-  let write_all fd s =
-    let len = String.length s in
-    let rec go off =
-      if off < len then
-        let n = Unix.write_substring fd s off (len - off) in
-        go (off + n)
-    in
-    go 0
-  in
-  let describe = function
-    | `Line l -> Printf.sprintf "server answered: %s" l
-    | `Closed -> "server closed the connection"
-    | `Silent -> "server stayed silent until the wait expired"
-  in
-  let run address_s mode bytes delay wait benchmark =
-    (* A server that cuts us off mid-write is the expected outcome here:
-       take it as EPIPE, not a fatal signal. *)
-    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    match parse_address address_s with
-    | Error code -> code
-    | Ok address -> (
-      match raw_connect address with
-      | exception (Unix.Unix_error _ | Failure _) ->
-        Format.eprintf "wavemin: chaos: cannot connect to %s@." address_s;
-        2
-      | fd ->
-        Fun.protect
-          ~finally:(fun () ->
-            try Unix.close fd with Unix.Unix_error _ -> ())
-          (fun () ->
-            let request =
-              Proto.line
-                (Proto.request_to_json ~id:(Json.Str "chaos")
-                   (Proto.Run
-                      { opts = Proto.default_opts ~benchmark;
-                        algorithm = Repro_core.Flow.Wavemin;
-                        warm = false }))
-            in
-            match mode with
-            | `Dribble ->
-              (* Send everything but the terminating newline, slowly. *)
-              let body = String.sub request 0 (String.length request - 1) in
-              let verdict = ref `Silent in
-              (try
-                 String.iter
-                   (fun c ->
-                     write_all fd (String.make 1 c);
-                     Thread.delay (Float.max 0.0 delay))
-                   body;
-                 verdict := await_verdict fd wait
-               with Unix.Unix_error _ | Sys_error _ ->
-                 (* The server cut us off mid-dribble: that is the
-                    verdict. *)
-                 verdict := `Closed);
-              Format.printf "chaos dribble: %s@." (describe !verdict);
-              0
-            | `Oversize ->
-              let blk = String.make 65536 'x' in
-              let verdict = ref `Silent in
-              (try
-                 let sent = ref 0 in
-                 while !sent < bytes do
-                   write_all fd blk;
-                   sent := !sent + String.length blk
-                 done;
-                 verdict := await_verdict fd wait
-               with Unix.Unix_error _ | Sys_error _ -> verdict := `Closed);
-              (* A verdict may already be buffered even if the send
-                 died. *)
-              (match !verdict with
-              | `Closed -> verdict := await_verdict fd wait
-              | _ -> ());
-              Format.printf "chaos oversize: %s@." (describe !verdict);
-              0
-            | `Hang ->
-              Format.printf "chaos hang: %s@." (describe (await_verdict fd wait));
-              0
-            | `Disconnect ->
-              (try write_all fd request
-               with Unix.Unix_error _ | Sys_error _ -> ());
-              Format.printf
-                "chaos disconnect: request sent, closing without reading@.";
-              0))
-  in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:
-         "Misbehave at a running `wavemin serve' on purpose — slowloris \
-          dribble, oversized request line, silent connection, \
-          mid-request disconnect — and report how the server responded. \
-          The chaos smoke tests drive the daemon's abuse guards with \
-          this (no socat/nc needed)")
-    Term.(const run $ address_arg $ mode_arg $ bytes_arg $ delay_arg
-          $ wait_arg $ benchmark_arg)
-
 let () =
   let info =
     Cmd.info "wavemin" ~version:"1.0.0"
@@ -1837,7 +1634,7 @@ let () =
       [ list_cmd; run_cmd; validate_cmd; profile_cmd; compare_cmd;
         multimode_cmd; montecarlo_cmd; characterize_cmd; export_cmd;
         stats_cmd; report_cmd; bench_diff_cmd; library_cmd; serve_cmd;
-        client_cmd; bench_serve_cmd; chaos_cmd; top_cmd; explain_cmd ]
+        client_cmd; bench_serve_cmd; top_cmd; explain_cmd ]
   in
   (* Safety net: no subcommand may escape with an uncaught structured
      error (injected faults can fire in paths without a local handler —

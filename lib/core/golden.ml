@@ -5,6 +5,7 @@ module Electrical = Repro_cell.Electrical
 module Pwl = Repro_waveform.Pwl
 module Grid = Repro_powergrid.Grid
 module Noise = Repro_powergrid.Noise
+module Trace = Repro_obs.Trace
 
 type metrics = {
   peak_current_ma : float;
@@ -42,12 +43,14 @@ let node_injections tree asg env ~period =
 
 let evaluate ?(period = default_period) ?grid ?(noise_samples = 48) tree asg env =
   let grid = match grid with Some g -> g | None -> default_grid tree in
-  let rising, injections = node_injections tree asg env ~period in
-  let total_idd =
-    Pwl.sum (Array.to_list (Array.map (fun (_, c) -> c.Electrical.idd) injections))
-  in
-  let total_iss =
-    Pwl.sum (Array.to_list (Array.map (fun (_, c) -> c.Electrical.iss) injections))
+  let rising, injections, total_idd, total_iss =
+    Trace.with_span ~name:"golden.injections" (fun () ->
+        let rising, injections = node_injections tree asg env ~period in
+        let total field =
+          Pwl.sum (Array.to_list (Array.map (fun (_, c) -> field c) injections))
+        in
+        let total_idd = total (fun c -> c.Electrical.idd) in
+        (rising, injections, total_idd, total (fun c -> c.Electrical.iss)))
   in
   let peak_ua = Float.max (Pwl.peak total_idd) (Pwl.peak total_iss) in
   let vdd_inj =
@@ -65,7 +68,10 @@ let evaluate ?(period = default_period) ?grid ?(noise_samples = 48) tree asg env
          injections)
   in
   let times = Noise.default_times (vdd_inj @ gnd_inj) ~count:noise_samples in
-  let report = Noise.evaluate grid ~vdd:vdd_inj ~gnd:gnd_inj ~times in
+  let report =
+    Trace.with_span ~name:"powergrid.noise" (fun () ->
+        Noise.evaluate grid ~vdd:vdd_inj ~gnd:gnd_inj ~times)
+  in
   {
     peak_current_ma = peak_ua /. 1000.0;
     vdd_noise_mv = report.Noise.vdd_noise_mv;

@@ -57,7 +57,7 @@ let sinks spec =
 
 let trees_synthesized_c = Repro_obs.Metrics.counter "cts.trees_synthesized"
 
-let synthesize ?options spec =
+let synthesize spec =
   let internals = spec.num_nodes - spec.num_leaves in
   if internals < 1 then
     invalid_arg "Benchmarks.synthesize: spec needs at least one internal node";
@@ -69,4 +69,4 @@ let synthesize ?options spec =
   @@ fun () ->
   Repro_obs.Metrics.incr trees_synthesized_c;
   let rng = Rng.create ~seed:(spec.seed + 7919) in
-  Synthesis.synthesize ?options ~rng (sinks spec) ~internals
+  Synthesis.synthesize ~rng (sinks spec) ~internals

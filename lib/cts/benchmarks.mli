@@ -30,7 +30,7 @@ val find : string -> spec
 val sinks : spec -> Placement.sink array
 (** Deterministic sink placement for the benchmark. *)
 
-val synthesize : ?options:Synthesis.options -> spec -> Repro_clocktree.Tree.t
+val synthesize : spec -> Repro_clocktree.Tree.t
 (** Generate the zero-skew clock tree for the benchmark.  The resulting
     tree has exactly [num_nodes] buffering elements, [num_leaves] of them
     leaves. *)

@@ -5,20 +5,11 @@ module Wire = Repro_clocktree.Wire
 module Assignment = Repro_clocktree.Assignment
 module Timing = Repro_clocktree.Timing
 
-type options = {
-  leaf_cell : Cell.t;
-  target_skew : float;
-  max_iterations : int;
-  max_snake : float;
-}
-
-let default_options =
-  {
-    leaf_cell = Library.buf 8;
-    target_skew = 4.0;
-    max_iterations = 30;
-    max_snake = 1200.0;
-  }
+(* Snaking stops once the skew is at most [target_skew] ps or after
+   [max_iterations] passes; no snaked net exceeds [max_snake] um. *)
+let target_skew = 4.0
+let max_iterations = 30
+let max_snake = 1200.0
 
 let fanout_target = 4
 
@@ -124,7 +115,7 @@ let smallest_drive_for load =
   in
   pick [ 4; 8; 16; 32 ]
 
-let build ?(options = default_options) ~rng sinks ~internals =
+let build ~rng sinks ~internals =
   ignore rng;
   if internals < 1 then invalid_arg "Synthesis.build: internals < 1";
   let n_sinks = Array.length sinks in
@@ -229,7 +220,7 @@ let build ?(options = default_options) ~rng sinks ~internals =
      drive per level (sized for the worst load in the level) so that
      same-level taps have identical intrinsic delays — the level-based
      sizing discipline of commercial CTS. *)
-  let cells = Array.make total options.leaf_cell in
+  let cells = Array.make total (Library.buf 8) in
   let node_load id =
     List.fold_left
       (fun acc c ->
@@ -288,7 +279,7 @@ let length_for_delay target ~cin =
    the shared parent, but that shift is common to all siblings and hence
    skew-neutral; residual cross-parent differences are what the next
    iteration (driven by fresh timing) removes. *)
-let equalize_skew ?(options = default_options) tree =
+let equalize_skew tree =
   let env = Timing.nominal () in
   let rec iterate tree k best best_skew =
     let asg = Assignment.default tree ~num_modes:1 in
@@ -297,7 +288,7 @@ let equalize_skew ?(options = default_options) tree =
     let best, best_skew =
       if skew < best_skew then (tree, skew) else (best, best_skew)
     in
-    if skew <= options.target_skew || k >= options.max_iterations then best
+    if skew <= target_skew || k >= max_iterations then best
     else begin
       let n = Tree.size tree in
       (* Slowest sink arrival in each node's subtree. *)
@@ -334,7 +325,7 @@ let equalize_skew ?(options = default_options) tree =
                   let current = snake_delay lengths.(c) ~cin in
                   let wanted = current +. (0.7 *. deficit) in
                   let len =
-                    Float.min options.max_snake (length_for_delay wanted ~cin)
+                    Float.min max_snake (length_for_delay wanted ~cin)
                   in
                   lengths.(c) <- Float.max lengths.(c) len
                 end)
@@ -345,8 +336,8 @@ let equalize_skew ?(options = default_options) tree =
   in
   iterate tree 0 tree infinity
 
-let synthesize ?(options = default_options) ~rng sinks ~internals =
-  equalize_skew ~options (build ~options ~rng sinks ~internals)
+let synthesize ~rng sinks ~internals =
+  equalize_skew (build ~rng sinks ~internals)
 
 let nominal_skew tree =
   let asg = Assignment.default tree ~num_modes:1 in

@@ -8,21 +8,14 @@
     + spend the remaining internal-node budget on repeater chains spread
       evenly over the leaf edges (the ISPD'09 benchmarks have more
       internal nodes than leaves);
-    + size internal buffers bottom-up against their capacitive load;
+    + start every leaf as BUF_X8 and size internal buffers bottom-up
+      against their capacitive load;
     + equalize sink arrival times by iterative wire snaking on the leaf
-      nets until the skew target is met or the iteration budget runs out.
+      nets until the skew is at most 4 ps or 30 iterations have run, no
+      snaked net longer than 1200 um.
 
     The result is a {!Repro_clocktree.Tree.t} whose nominal skew is a few
     ps, comparable to the "<10 ps" zero-skew trees of the paper. *)
-
-type options = {
-  leaf_cell : Repro_cell.Cell.t;  (** Initial leaf cell (BUF_X8). *)
-  target_skew : float;  (** ps; stop snaking below this (default 4). *)
-  max_iterations : int;  (** Snaking iterations (default 60). *)
-  max_snake : float;  (** um cap on any single snaked net (default 4000). *)
-}
-
-val default_options : options
 
 val level_sizes : internals:int -> leaves:int -> int list
 (** Internal-buffer level sizes, root level (always 1) first, summing to
@@ -31,7 +24,6 @@ val level_sizes : internals:int -> leaves:int -> int list
     @raise Invalid_argument on non-positive arguments. *)
 
 val build :
-  ?options:options ->
   rng:Repro_util.Rng.t ->
   Placement.sink array ->
   internals:int ->
@@ -39,12 +31,11 @@ val build :
 (** Structure and sizing only — no skew equalization.
     @raise Invalid_argument if [internals < 1] or there are no sinks. *)
 
-val equalize_skew : ?options:options -> Repro_clocktree.Tree.t -> Repro_clocktree.Tree.t
+val equalize_skew : Repro_clocktree.Tree.t -> Repro_clocktree.Tree.t
 (** Iterative leaf-net snaking under the default assignment and nominal
     environment. *)
 
 val synthesize :
-  ?options:options ->
   rng:Repro_util.Rng.t ->
   Placement.sink array ->
   internals:int ->

@@ -13,44 +13,31 @@ type t = {
 let io_error msg =
   Verrors.make ~code:Verrors.Io_error ~stage:"client" msg
 
-let connect address =
-  let attempt () =
-    match (address : Server.address) with
-    | Server.Unix_path path ->
-      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try
-         Unix.connect fd (Unix.ADDR_UNIX path);
-         fd
-       with e ->
-         (try Unix.close fd with Unix.Unix_error _ -> ());
-         raise e)
-    | Server.Tcp { host; port } ->
-      let addr =
-        try Unix.inet_addr_of_string host
-        with Failure _ -> (
-          match Unix.gethostbyname host with
-          | { Unix.h_addr_list = [||]; _ } | (exception Not_found) ->
-            failwith (Printf.sprintf "cannot resolve host %s" host)
-          | { Unix.h_addr_list; _ } -> h_addr_list.(0))
-      in
-      let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (try
-         Unix.connect fd (Unix.ADDR_INET (addr, port));
-         fd
-       with e ->
-         (try Unix.close fd with Unix.Unix_error _ -> ());
-         raise e)
-  in
-  match attempt () with
-  | fd ->
-    Ok { fd; ic = Unix.in_channel_of_descr fd; next_id = 0; open_ = true }
+let socket address =
+  match
+    let domain, sockaddr = Server.resolve ~stage:"client" address in
+    let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
+    try
+      Unix.connect fd sockaddr;
+      fd
+    with e ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      raise e
+  with
+  | fd -> Ok fd
   | exception Unix.Unix_error (err, _, _) ->
     Error
       (io_error
          (Printf.sprintf "cannot connect to %s: %s"
             (Server.address_to_string address)
             (Unix.error_message err)))
-  | exception Failure msg -> Error (io_error msg)
+  | exception Verrors.Error e -> Error e
+
+let connect address =
+  Result.map
+    (fun fd ->
+      { fd; ic = Unix.in_channel_of_descr fd; next_id = 0; open_ = true })
+    (socket address)
 
 let close t =
   if t.open_ then begin
@@ -58,19 +45,10 @@ let close t =
     try Unix.close t.fd with Unix.Unix_error _ -> ()
   end
 
-let write_all fd s =
-  let len = String.length s in
-  let rec go off =
-    if off < len then
-      let n = Unix.write_substring fd s off (len - off) in
-      go (off + n)
-  in
-  go 0
-
 let request_with_id ?deadline_ms t req =
   let id = Json.Num (float_of_int t.next_id) in
   t.next_id <- t.next_id + 1;
-  match write_all t.fd (P.line (P.request_to_json ?deadline_ms ~id req)) with
+  match Server.write_all t.fd (P.line (P.request_to_json ?deadline_ms ~id req)) with
   | exception (Unix.Unix_error _ | Sys_error _) ->
     Error (io_error "connection lost while sending request")
   | () ->
@@ -99,60 +77,39 @@ let with_connection address f =
 
 (* ---- retries ------------------------------------------------------- *)
 
-let response_code (resp : P.response) =
-  if resp.P.ok then None
-  else
-    match Json.member "code" resp.P.body with
-    | Some (Json.Str c) -> Some c
-    | _ -> None
-
 (* What a retry can fix: the daemon shedding load ([overloaded]), or the
    transport dying under us ([Io_error]: connection refused mid-restart,
    ECONNRESET, a drain racing our send).  Re-sending is safe by
    construction — responses are deterministic and concurrent duplicates
    coalesce server-side — so at worst a retry recomputes; it never
-   diverges.  Structured rejections other than [overloaded]
-   ([deadline-exceeded], [parse-error], ...) mean the request itself is
-   the problem and retrying would only repeat the refusal. *)
-let retryable_response resp = response_code resp = Some "overloaded"
-let retryable_error (e : Verrors.t) = e.Verrors.code = Verrors.Io_error
-
-let request_retry ?(retries = 0) ?(backoff_ms = 50.0) ?deadline_ms ?on_retry
-    address req =
-  (* Jittered exponential backoff: backoff_ms × 2^attempt × U[0.5, 1.5],
-     seeded per-process so a fleet of retrying clients spreads out
-     instead of thundering back in lockstep. *)
-  let rng =
-    lazy
-      (Rng.create
-         ~seed:
-           ((Unix.getpid () * 1_000_003)
-           lxor int_of_float (Float.rem (Unix.gettimeofday () *. 1e6) 1e9)))
-  in
-  let attempts = max 1 retries + 1 in
-  let backoff attempt =
-    Float.max 0.0 backoff_ms
-    *. (2.0 ** float_of_int attempt)
-    *. Rng.uniform (Lazy.force rng) ~lo:0.5 ~hi:1.5
-  in
+   diverges.  Every other failure comes back at once: a malformed
+   response ([Parse_error]) means the peer does not speak the protocol,
+   and any other rejection ([deadline-exceeded], [invalid-params], ...)
+   means the request itself is the problem; retrying would only repeat
+   it. *)
+let retry ~retries ~backoff_ms ~rng ~on_retry ~response attempt_once =
   let rec go attempt =
-    (* One connection per attempt: the previous one may be the casualty
-       (reset, or pointing at a daemon that no longer exists). *)
-    let outcome = with_connection address (fun c -> request ?deadline_ms c req) in
-    let retry why =
-      let delay_ms = backoff attempt in
-      (match on_retry with
-      | Some f -> f ~attempt:(attempt + 1) ~why ~delay_ms
-      | None -> ());
+    let outcome = attempt_once () in
+    let why =
+      match outcome with
+      | Ok x when P.response_code (response x) = Some "overloaded" ->
+        Some "overloaded"
+      | Error { Verrors.code = Verrors.Io_error as code; _ } ->
+        Some (Verrors.code_name code)
+      | Ok _ | Error _ -> None
+    in
+    match why with
+    | Some why when attempt < retries ->
+      (* Jittered exponential backoff, so retrying peers spread out
+         instead of thundering back in lockstep. *)
+      let delay_ms =
+        Float.max 0.0 backoff_ms
+        *. (2.0 ** float_of_int attempt)
+        *. Rng.uniform rng ~lo:0.5 ~hi:1.5
+      in
+      on_retry ~attempt:(attempt + 1) ~why ~delay_ms;
       Thread.delay (delay_ms /. 1000.0);
       go (attempt + 1)
-    in
-    match outcome with
-    | Ok resp when retryable_response resp && attempt + 1 < attempts ->
-      retry "overloaded"
-    | Error e when retryable_error e && attempt + 1 < attempts ->
-      retry (Verrors.code_name e.Verrors.code)
-    | Ok resp -> Ok (resp, attempt)
-    | Error e -> Error e
+    | _ -> outcome
   in
   go 0

@@ -132,13 +132,6 @@ type result = {
   classes : class_stats list;
 }
 
-let response_code (resp : P.response) =
-  if resp.P.ok then None
-  else
-    match Json.member "code" resp.P.body with
-    | Some (Json.Str c) -> Some c
-    | _ -> None
-
 let class_stats_of name (s : samples) =
   let latencies = Array.sub s.arr 0 s.n in
   if s.n = 0 then
@@ -199,101 +192,62 @@ let run cfg =
       (* Per-worker deterministic jitter stream: the load schedule stays
          reproducible for a given (connections, retries) config. *)
       let rng = Rng.create ~seed:(0xb0ff + w) in
-      let backoff attempt =
-        let ms =
-          Float.max 0.0 cfg.retry_backoff_ms
-          *. (2.0 ** float_of_int attempt)
-          *. Rng.uniform rng ~lo:0.5 ~hi:1.5
-        in
-        ignore (Atomic.fetch_and_add retries_total 1);
-        Thread.delay (ms /. 1000.0)
-      in
       (* [None] after a transport casualty; the next attempt reconnects
          (the daemon may have restarted meanwhile). *)
       let client = ref None in
       let close_client () =
-        match !client with
-        | Some c ->
-          Client.close c;
-          client := None
-        | None -> ()
+        Option.iter Client.close !client;
+        client := None
       in
-      let connect_client () =
-        match !client with
-        | Some c -> Ok c
-        | None ->
-          Result.map
-            (fun c ->
+      (* The connection stays warm across successful requests, so
+         retries stay the exceptional path. *)
+      let attempt_once req () =
+        let resp =
+          match !client with
+          | Some c -> Client.request c req
+          | None -> (
+            match Client.connect cfg.address with
+            | Error e -> Error e
+            | Ok c ->
               client := Some c;
-              c)
-            (Client.connect cfg.address)
-      in
-      (* One scheduled request with up to [cfg.retries] re-attempts on
-         overloaded rejections and transport failures — mirroring
-         {!Client.request_retry}, but keeping the connection warm across
-         successful requests so retries stay the exceptional path. *)
-      let rec exec k attempt =
-        let failed e =
-          if attempt < cfg.retries then begin
-            backoff attempt;
-            exec k (attempt + 1)
-          end
-          else Error e
+              Client.request c req)
         in
-        match connect_client () with
-        | Error e -> failed e
-        | Ok c -> (
-          match Client.request c k.k_request with
-          | Ok resp
-            when response_code resp = Some "overloaded"
-                 && attempt < cfg.retries ->
-            backoff attempt;
-            exec k (attempt + 1)
-          | Ok resp -> Ok resp
-          | Error e ->
-            close_client ();
-            failed e)
+        if Result.is_error resp then close_client ();
+        resp
       in
-      (* A dead daemon should fail loudly (modulo configured retries),
-         not report an all-error run. *)
-      let rec eager attempt =
-        match connect_client () with
-        | Ok _ -> Ok ()
-        | Error _ when attempt < cfg.retries ->
-          backoff attempt;
-          eager (attempt + 1)
-        | Error e -> Error e
+      let exec k =
+        Client.retry ~retries:cfg.retries ~backoff_ms:cfg.retry_backoff_ms ~rng
+          ~on_retry:(fun ~attempt:_ ~why:_ ~delay_ms:_ ->
+            Atomic.incr retries_total)
+          ~response:Fun.id (attempt_once k.k_request)
       in
-      match eager 0 with
-      | Error e -> Error e
-      | Ok () ->
-        Fun.protect ~finally:close_client (fun () ->
-            let rec loop () =
-              let i = Atomic.fetch_and_add next 1 in
-              if budget_left i then begin
-                let k = schedule.(i mod Array.length schedule) in
-                let cs = List.assoc k.k_name per_class in
-                let t0 = Clock.now_s () in
-                match exec k 0 with
-                | Ok resp ->
-                  let ms = (Clock.now_s () -. t0) *. 1000.0 in
-                  if resp.P.ok then begin
-                    samples_push cs ms;
-                    samples_push all ms;
-                    Rolling.observe rolling ms
-                  end
-                  else samples_error cs;
-                  loop ()
-                | Error _ ->
-                  (* Retries exhausted: record and retire this worker —
-                     the shared counter lets the others finish the
-                     budget. *)
-                  samples_error cs;
-                  Ok ()
-              end
-              else Ok ()
-            in
-            loop ())
+      Fun.protect ~finally:close_client (fun () ->
+          let rec loop () =
+            let i = Atomic.fetch_and_add next 1 in
+            if budget_left i then begin
+              let k = schedule.(i mod Array.length schedule) in
+              let cs = List.assoc k.k_name per_class in
+              let t0 = Clock.now_s () in
+              match exec k with
+              | Ok resp ->
+                let ms = (Clock.now_s () -. t0) *. 1000.0 in
+                if resp.P.ok then begin
+                  samples_push cs ms;
+                  samples_push all ms;
+                  Rolling.observe rolling ms
+                end
+                else samples_error cs;
+                loop ()
+              | Error e ->
+                (* Retries exhausted: record and retire this worker —
+                   the shared counter lets the others finish the
+                   budget. *)
+                samples_error cs;
+                Error e
+            end
+            else Ok ()
+          in
+          loop ())
     in
     let coalesced_before = coalesced_count cfg.address in
     let results = Array.make cfg.connections (Ok ()) in
@@ -308,9 +262,9 @@ let run cfg =
       | Some before, Some after -> Some (after - before)
       | _ -> None
     in
-    (* Connecting to a dead daemon should fail loudly, not report an
-       all-error run: surface the first connect failure if nothing at
-       all was measured. *)
+    (* A dead daemon should fail loudly, not report an all-error run:
+       surface the first transport failure if nothing at all was
+       measured. *)
     let first_error =
       Array.fold_left
         (fun acc r -> match (acc, r) with None, Error e -> Some e | _ -> acc)
@@ -398,4 +352,6 @@ let to_report cfg r =
   List.iter add_class r.classes;
   Report.add_stage builder ~stage:"bench-serve" ~wall_s:r.wall_s
     ~cpu_s:(Clock.cpu_s ());
-  Report.finalize builder
+  (* The load generator's own metrics registry holds nothing but zeros:
+     the daemon's numbers live in the daemon. *)
+  Report.finalize ~registry:[] builder

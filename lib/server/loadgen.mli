@@ -31,13 +31,11 @@ type config = {
   profile : (klass * int) list;  (** (class, weight), weights >= 1. *)
   window_s : float;  (** Rolling window for the reported p50/95/99. *)
   retries : int;
-      (** Per-request re-attempts on an [overloaded] rejection or a
-          transport failure (reconnecting first), with jittered
-          exponential backoff — mirroring {!Client.request_retry}.
-          Latency samples include time spent retrying.  Default 0. *)
-  retry_backoff_ms : float;
-      (** Base backoff: sleep [retry_backoff_ms × 2{^attempt} ×
-          U[0.5, 1.5]] before re-attempt [attempt]. *)
+      (** Per-request re-attempts under {!Client.retry} (each worker
+          reconnects after a transport failure and draws its jitter
+          from its own stream).  Latency samples include time spent
+          retrying.  Default 0. *)
+  retry_backoff_ms : float;  (** {!Client.retry}'s [backoff_ms]. *)
 }
 
 val default_profile : benchmark:string -> (klass * int) list
@@ -83,8 +81,11 @@ type result = {
 }
 
 val run : config -> (result, Verrors.t) Stdlib.result
-(** Execute the load.  [Error] on invalid configuration or when no
-    connection could be established at all; partial transport failures
-    mid-run are recorded as class errors instead. *)
+(** Execute the load.  [Error] on invalid configuration, or when a
+    request failed in transport or framing (after its retries) and no
+    request succeeded at all; other failures are recorded as class
+    errors. *)
 
 val to_report : config -> result -> Report.t
+(** The [BENCH_serve.json] report; its [registry] is empty (the load
+    generator's own metrics are all zero). *)

@@ -246,3 +246,10 @@ let parse_response text =
       | Some body -> Ok { rid; ok = false; body }
       | None -> Error "response lacks an \"error\" field")
     | _ -> Error "response lacks a boolean \"ok\" field")
+
+let response_code resp =
+  if resp.ok then None
+  else
+    match Json.member "code" resp.body with
+    | Some (Json.Str c) -> Some c
+    | _ -> None

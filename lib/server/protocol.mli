@@ -120,3 +120,7 @@ type response = {
 }
 
 val parse_response : string -> (response, string) result
+
+val response_code : response -> string option
+(** The error code of a rejected response (["overloaded"],
+    ["deadline-exceeded"], ...); [None] for an ok response. *)

@@ -73,6 +73,29 @@ let address_to_string = function
   | Unix_path p -> "unix:" ^ p
   | Tcp { host; port } -> Printf.sprintf "tcp:%s:%d" host port
 
+let resolve ~stage = function
+  | Unix_path path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
+  | Tcp { host; port } ->
+    let addr =
+      try Unix.inet_addr_of_string host
+      with Failure _ -> (
+        match Unix.gethostbyname host with
+        | { Unix.h_addr_list = [||]; _ } | (exception Not_found) ->
+          Verrors.fail ~code:Verrors.Io_error ~stage
+            (Printf.sprintf "cannot resolve host %s" host)
+        | { Unix.h_addr_list; _ } -> h_addr_list.(0))
+    in
+    (Unix.PF_INET, Unix.ADDR_INET (addr, port))
+
+let write_all fd s =
+  let len = String.length s in
+  let rec go off =
+    if off < len then
+      let n = Unix.write_substring fd s off (len - off) in
+      go (off + n)
+  in
+  go 0
+
 (* ---- configuration ------------------------------------------------ *)
 
 type config = {
@@ -236,15 +259,6 @@ let initiate_drain t =
   end
 
 (* ---- connection writes -------------------------------------------- *)
-
-let write_all fd s =
-  let len = String.length s in
-  let rec go off =
-    if off < len then
-      let n = Unix.write_substring fd s off (len - off) in
-      go (off + n)
-  in
-  go 0
 
 (* One whole line per lock hold, so responses from the executor and
    control-plane responses from the reader thread never interleave
@@ -948,7 +962,8 @@ let dispatch t ex item =
 let io_fail stage msg =
   Verrors.fail ~code:Verrors.Io_error ~stage msg
 
-let listen_on domain sockaddr ~what =
+let listen_on address ~what =
+  let domain, sockaddr = resolve ~stage:"server.bind" address in
   let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
   try
     if domain = Unix.PF_INET then Unix.setsockopt fd Unix.SO_REUSEADDR true;
@@ -960,7 +975,8 @@ let listen_on domain sockaddr ~what =
     io_fail "server.bind"
       (Printf.sprintf "cannot bind %s: %s" what (Unix.error_message err))
 
-let bind_listener = function
+let bind_listener address =
+  match address with
   | Unix_path path ->
     if String.length path >= 104 then
       io_fail "server.bind"
@@ -1000,18 +1016,9 @@ let bind_listener = function
         (Printf.sprintf "%s exists and is not a socket: not evicting" path)
     | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
     | exception (Unix.Unix_error _ | Sys_error _) -> ());
-    listen_on Unix.PF_UNIX (Unix.ADDR_UNIX path) ~what:path
+    listen_on address ~what:path
   | Tcp { host; port } ->
-    let addr =
-      try Unix.inet_addr_of_string host
-      with Failure _ -> (
-        match Unix.gethostbyname host with
-        | { Unix.h_addr_list = [||]; _ } | (exception Not_found) ->
-          io_fail "server.bind" (Printf.sprintf "cannot resolve host %s" host)
-        | { Unix.h_addr_list; _ } -> h_addr_list.(0))
-    in
-    listen_on Unix.PF_INET (Unix.ADDR_INET (addr, port))
-      ~what:(Printf.sprintf "%s:%d" host port)
+    listen_on address ~what:(Printf.sprintf "%s:%d" host port)
 
 (* SIGTERM/SIGINT → one byte down a self-pipe → a watcher thread runs
    the drain.  The handler itself takes no locks (it may interrupt code

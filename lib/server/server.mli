@@ -66,6 +66,16 @@ val address_of_string : string -> (address, string) result
 
 val address_to_string : address -> string
 
+val resolve : stage:string -> address -> Unix.socket_domain * Unix.sockaddr
+(** The socket address behind [address]: the daemon binds it, every
+    peer connects to it.  A TCP host is a dotted quad or a host name.
+    @raise Repro_util.Verrors.Error [Io_error] at [stage], ["cannot
+    resolve host HOST"], when the lookup finds nothing. *)
+
+val write_all : Unix.file_descr -> string -> unit
+(** Write the whole string, looping over short writes.  Raises what
+    [Unix.write_substring] raises (EPIPE when the peer is gone). *)
+
 type config = {
   address : address;
   queue_capacity : int;  (** Bounded-queue depth (default 16). *)

@@ -22,6 +22,8 @@
 #
 # Usage: scripts/server_chaos.sh [JOBS]   (from the repo root)
 # Env:   WAVEMIN_BIN        path to wavemin.exe (default _build/default/bin/...)
+#        WAVEMIN_CHAOS_BIN  path to the abusive-peer program test/chaos.ml
+#                           (default _build/default/test/chaos.exe)
 #        WAVEMIN_SMOKE_DIR  keep artifacts here instead of a throwaway
 #                           mktemp dir (CI uploads it on failure; the
 #                           full smoke passes its own dir through).
@@ -30,6 +32,7 @@ set -euo pipefail
 
 JOBS="${1:-1}"
 W="${WAVEMIN_BIN:-_build/default/bin/wavemin.exe}"
+CHAOS="${WAVEMIN_CHAOS_BIN:-_build/default/test/chaos.exe}"
 if [ -n "${WAVEMIN_SMOKE_DIR:-}" ]; then
   TMP="$WAVEMIN_SMOKE_DIR"
   mkdir -p "$TMP"
@@ -85,20 +88,20 @@ wait_ready
 
 # Slowloris: a byte-at-a-time dribbler never finishes a line (only
 # complete lines reset the idle clock), so the guard cuts it off.
-"$W" chaos -A "$SOCK" dribble --delay 0.05 --wait 10 >"$TMP/chaos-dribble.out"
+"$CHAOS" -A "$SOCK" dribble --delay 0.05 --wait 10 >"$TMP/chaos-dribble.out"
 grep -qE 'io-error|idle|server closed' "$TMP/chaos-dribble.out" \
   || fail "dribbler not cut off: $(cat "$TMP/chaos-dribble.out")"
 echo "chaos dribble ok: $(cat "$TMP/chaos-dribble.out")"
 
 # Silent connection: same guard, zero bytes sent.
-"$W" chaos -A "$SOCK" hang --wait 10 >"$TMP/chaos-hang.out"
+"$CHAOS" -A "$SOCK" hang --wait 10 >"$TMP/chaos-hang.out"
 grep -qE 'io-error|idle|server closed' "$TMP/chaos-hang.out" \
   || fail "hanging peer not cut off: $(cat "$TMP/chaos-hang.out")"
 
 # Oversized flood: a newline-less 1 MiB line against the 4 KiB cap gets
 # a structured parse-error and a closed connection, never unbounded
 # buffering.
-"$W" chaos -A "$SOCK" oversize --bytes 1048576 --wait 10 >"$TMP/chaos-oversize.out"
+"$CHAOS" -A "$SOCK" oversize --bytes 1048576 --wait 10 >"$TMP/chaos-oversize.out"
 grep -qE 'parse-error|request-line|server closed' "$TMP/chaos-oversize.out" \
   || fail "oversized line not rejected: $(cat "$TMP/chaos-oversize.out")"
 echo "chaos oversize ok: $(cat "$TMP/chaos-oversize.out")"
@@ -112,7 +115,7 @@ echo "chaos oversize ok: $(cat "$TMP/chaos-oversize.out")"
 "$W" client -A "$SOCK" montecarlo s13207 -n 4000 >/dev/null 2>&1 &
 SLOWC=$!
 sleep 0.3
-"$W" chaos -A "$SOCK" disconnect -b s38417 >"$TMP/chaos-disc.out"
+"$CHAOS" -A "$SOCK" disconnect -b s38417 >"$TMP/chaos-disc.out"
 DEADQ=""
 for i in 1 2 3; do
   "$W" client -A "$SOCK" run s38417 -a initial -k "3$i" --deadline-ms 1 \

@@ -1226,6 +1226,113 @@ let test_server_survives_faults () =
                 true clean.Protocol.ok)
             Fault.all_seams))
 
+(* ---- the client retry policy ---------------------------------------- *)
+
+(* [Client.retry] over a fake attempt function: [outcomes] are returned
+   in turn (the last one repeats), every attempt and every [on_retry]
+   call is recorded.  [backoff_ms = 0] keeps it instant. *)
+let run_retry ~retries outcomes =
+  let attempts = ref 0 and retried = ref [] in
+  let result =
+    Client.retry ~retries ~backoff_ms:0.0
+      ~rng:(Repro_util.Rng.create ~seed:1)
+      ~on_retry:(fun ~attempt ~why ~delay_ms:_ ->
+        retried := (attempt, why) :: !retried)
+      ~response:Fun.id
+      (fun () ->
+        let i = min !attempts (List.length outcomes - 1) in
+        incr attempts;
+        List.nth outcomes i)
+  in
+  (result, !attempts, List.rev !retried)
+
+let rejected code =
+  match
+    Protocol.parse_response
+      (Json.to_string
+         (Protocol.error_response ~id:Json.Null
+            (Verrors.make ~code ~stage:"server" "refused")))
+  with
+  | Ok r -> Ok r
+  | Error msg -> Alcotest.fail msg
+
+let failed code = Error (Verrors.make ~code ~stage:"client" "failed")
+
+let served =
+  Ok { Protocol.rid = Json.Null; ok = true; body = Json.Obj [] }
+
+let test_retry_zero_is_one_attempt () =
+  let _, attempts, retried = run_retry ~retries:0 [ failed Verrors.Io_error ] in
+  Alcotest.(check int) "one attempt" 1 attempts;
+  Alcotest.(check int) "no retry" 0 (List.length retried)
+
+let test_retry_dead_socket () =
+  let dead = temp_address () in
+  let attempts = ref 0 and retried = ref [] in
+  let result =
+    Client.retry ~retries:3 ~backoff_ms:0.0
+      ~rng:(Repro_util.Rng.create ~seed:1)
+      ~on_retry:(fun ~attempt ~why ~delay_ms:_ ->
+        retried := (attempt, why) :: !retried)
+      ~response:Fun.id
+      (fun () ->
+        incr attempts;
+        Client.with_connection dead (fun c -> Client.request c Protocol.Health))
+  in
+  Alcotest.(check int) "1 + 3 attempts" 4 !attempts;
+  Alcotest.(check (list (pair int string))) "on_retry 1..3"
+    [ (1, "io-error"); (2, "io-error"); (3, "io-error") ]
+    (List.rev !retried);
+  match result with
+  | Ok _ -> Alcotest.fail "a dead socket answered"
+  | Error e ->
+    Alcotest.(check string) "io-error" "io-error"
+      (Verrors.code_name e.Verrors.code)
+
+let test_retry_retryable () =
+  let result, attempts, retried =
+    run_retry ~retries:5
+      [ failed Verrors.Io_error; rejected Verrors.Overloaded; served ]
+  in
+  Alcotest.(check int) "until served" 3 attempts;
+  Alcotest.(check (list (pair int string))) "why"
+    [ (1, "io-error"); (2, "overloaded") ]
+    retried;
+  Alcotest.(check bool) "served" true
+    (match result with Ok r -> r.Protocol.ok | Error _ -> false);
+  let result, attempts, _ =
+    run_retry ~retries:2 [ rejected Verrors.Overloaded ]
+  in
+  Alcotest.(check int) "1 + 2 attempts" 3 attempts;
+  Alcotest.(check (option string)) "last rejection returned"
+    (Some "overloaded")
+    (match result with
+    | Ok r -> Protocol.response_code r
+    | Error _ -> None)
+
+let test_retry_not_retryable () =
+  List.iter
+    (fun (name, outcome) ->
+      let result, attempts, retried = run_retry ~retries:3 [ outcome; served ] in
+      Alcotest.(check int) (name ^ ": one attempt") 1 attempts;
+      Alcotest.(check int) (name ^ ": no retry") 0 (List.length retried);
+      Alcotest.(check bool) (name ^ ": returned as is") true (result = outcome))
+    [ ("parse-error", failed Verrors.Parse_error);
+      ("deadline-exceeded", rejected Verrors.Deadline_exceeded);
+      ("invalid-params", rejected Verrors.Invalid_params) ]
+
+let test_connect_failure_text () =
+  let path = Filename.concat (Filename.get_temp_dir_name ()) "wm-no-such.sock" in
+  match Client.connect (Server.Unix_path path) with
+  | Ok _ -> Alcotest.fail "connected to a missing socket"
+  | Error e ->
+    Alcotest.(check string) "code" "io-error" (Verrors.code_name e.Verrors.code);
+    Alcotest.(check string) "stage" "client" e.Verrors.stage;
+    Alcotest.(check string) "message"
+      (Printf.sprintf "cannot connect to unix:%s: No such file or directory"
+         path)
+      e.Verrors.message
+
 (* ---- resilience: deadlines, reader guards, watchdog, sockets ------ *)
 
 let with_raw address f =
@@ -1246,12 +1353,6 @@ let read_resp ic =
   match Protocol.parse_response (input_line ic) with
   | Error msg -> Alcotest.fail msg
   | Ok r -> r
-
-let response_code (r : Protocol.response) =
-  match r.Protocol.body with
-  | Json.Obj fields ->
-    Option.bind (List.assoc_opt "code" fields) Json.string_value
-  | _ -> None
 
 let stat_num stats k =
   Option.bind (Json.member k stats.Protocol.body) Json.float_value
@@ -1293,12 +1394,12 @@ let test_deadline_flight_triage () =
           Alcotest.(check bool) "expired leader shed" false (r 1).Protocol.ok;
           Alcotest.(check (option string)) "leader deadline-exceeded"
             (Some "deadline-exceeded")
-            (response_code (r 1));
+            (Protocol.response_code (r 1));
           Alcotest.(check bool) "expired follower shed" false
             (r 2).Protocol.ok;
           Alcotest.(check (option string)) "follower deadline-exceeded"
             (Some "deadline-exceeded")
-            (response_code (r 2));
+            (Protocol.response_code (r 2));
           Alcotest.(check bool) "live member promoted and served" true
             (r 3).Protocol.ok);
       with_client address (fun c ->
@@ -1335,7 +1436,7 @@ let expired_never_executes =
                 shed.Protocol.ok;
               Alcotest.(check (option string)) "deadline-exceeded code"
                 (Some "deadline-exceeded")
-                (response_code shed));
+                (Protocol.response_code shed));
           with_client address (fun c ->
               let stats = request_exn c Protocol.Stats in
               Alcotest.(check bool) "expired counted" true
@@ -1364,7 +1465,7 @@ let test_reader_oversized_line () =
           let r = read_resp ic in
           Alcotest.(check bool) "rejected" false r.Protocol.ok;
           Alcotest.(check (option string)) "parse-error code"
-            (Some "parse-error") (response_code r);
+            (Some "parse-error") (Protocol.response_code r);
           match input_line ic with
           | _ -> Alcotest.fail "connection survived an oversized line"
           | exception End_of_file -> ()))
@@ -1378,7 +1479,7 @@ let test_reader_idle_timeout () =
           let r = read_resp ic in
           Alcotest.(check bool) "rejected" false r.Protocol.ok;
           Alcotest.(check (option string)) "io-error code" (Some "io-error")
-            (response_code r);
+            (Protocol.response_code r);
           match input_line ic with
           | _ -> Alcotest.fail "connection survived the idle timeout"
           | exception End_of_file -> ()))
@@ -1749,6 +1850,17 @@ let () =
           Alcotest.test_case "report round-trip + self-gate" `Quick
             test_loadgen_report_roundtrip_and_gate;
           Alcotest.test_case "dead daemon" `Quick test_loadgen_dead_daemon ] );
+      ( "client",
+        [ Alcotest.test_case "retries 0 is one attempt" `Quick
+            test_retry_zero_is_one_attempt;
+          Alcotest.test_case "retries 3 on a dead socket" `Quick
+            test_retry_dead_socket;
+          Alcotest.test_case "io-error and overloaded retried" `Quick
+            test_retry_retryable;
+          Alcotest.test_case "other failures returned at once" `Quick
+            test_retry_not_retryable;
+          Alcotest.test_case "connect failure text" `Quick
+            test_connect_failure_text ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ bit_identity; expired_never_executes ] ) ]
