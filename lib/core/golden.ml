@@ -43,33 +43,26 @@ let node_injections tree asg env ~period =
 
 let evaluate ?(period = default_period) ?grid ?(noise_samples = 48) tree asg env =
   let grid = match grid with Some g -> g | None -> default_grid tree in
-  let rising, injections, total_idd, total_iss =
+  let rising, vdd_inj, gnd_inj, total_idd, total_iss =
     Trace.with_span ~name:"golden.injections" (fun () ->
         let rising, injections = node_injections tree asg env ~period in
-        let total field =
-          Pwl.sum (Array.to_list (Array.map (fun (_, c) -> field c) injections))
+        let rail field =
+          Array.fold_right
+            (fun ((nd : Tree.node), c) acc ->
+              { Noise.x = nd.Tree.x; y = nd.Tree.y; waveform = field c } :: acc)
+            injections []
         in
-        let total_idd = total (fun c -> c.Electrical.idd) in
-        (rising, injections, total_idd, total (fun c -> c.Electrical.iss)))
+        let vdd_inj = rail (fun c -> c.Electrical.idd) in
+        let gnd_inj = rail (fun c -> c.Electrical.iss) in
+        let total inj = Pwl.sum (List.map (fun i -> i.Noise.waveform) inj) in
+        (rising, vdd_inj, gnd_inj, total vdd_inj, total gnd_inj))
   in
   let peak_ua = Float.max (Pwl.peak total_idd) (Pwl.peak total_iss) in
-  let vdd_inj =
-    Array.to_list
-      (Array.map
-         (fun ((nd : Tree.node), (c : Electrical.currents)) ->
-           { Noise.x = nd.Tree.x; y = nd.Tree.y; waveform = c.Electrical.idd })
-         injections)
-  in
-  let gnd_inj =
-    Array.to_list
-      (Array.map
-         (fun ((nd : Tree.node), (c : Electrical.currents)) ->
-           { Noise.x = nd.Tree.x; y = nd.Tree.y; waveform = c.Electrical.iss })
-         injections)
-  in
-  let times = Noise.default_times (vdd_inj @ gnd_inj) ~count:noise_samples in
   let report =
     Trace.with_span ~name:"powergrid.noise" (fun () ->
+        let times =
+          Noise.default_times (vdd_inj @ gnd_inj) ~count:noise_samples
+        in
         Noise.evaluate grid ~vdd:vdd_inj ~gnd:gnd_inj ~times)
   in
   {

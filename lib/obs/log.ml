@@ -12,12 +12,3 @@ let setup ?(level = Some Logs.Warning) () =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level level
 
-let level_of_string s =
-  match String.lowercase_ascii s with
-  | "quiet" | "off" | "none" -> Ok None
-  | "app" -> Ok (Some Logs.App)
-  | "error" -> Ok (Some Logs.Error)
-  | "warning" | "warn" -> Ok (Some Logs.Warning)
-  | "info" -> Ok (Some Logs.Info)
-  | "debug" -> Ok (Some Logs.Debug)
-  | _ -> Error (Printf.sprintf "unknown log level %S" s)

@@ -13,6 +13,3 @@ val setup : ?level:Logs.level option -> unit -> unit
 (** Install the stderr reporter; [level] (default [Some Warning]) sets
     the global report threshold, [None] disables all logging. *)
 
-val level_of_string : string -> (Logs.level option, string) result
-(** Parse ["quiet"], ["app"], ["error"], ["warning"]/["warn"],
-    ["info"] or ["debug"]. *)

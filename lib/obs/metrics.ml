@@ -13,8 +13,7 @@ type histogram = {
   mutable sum : float;
   mutable lo : float;
   mutable hi : float;
-  mutable bucket_counts : (int * int) list;
-      (* (power-of-two exponent, count), unordered, short in practice *)
+  counts : int array;  (* one per bucket of the grid below *)
 }
 
 type instrument =
@@ -60,13 +59,36 @@ let gauge name =
     (fun () -> Gauge { g_mutex = Mutex.create (); value = 0.0; assigned = false })
     (function Gauge g -> Some g | _ -> None)
 
-let fresh_histogram () =
+(* The one bucket grid (see metrics.mli): index 0 is the bound-0
+   bucket, index i >= 1 has bound 2^((i - offset)/4).  [bucket_of]
+   returns [nbuckets], no bucket, for non-finite samples and samples
+   above the top bound. *)
+let nbuckets = 200
+let offset = 80
+
+let bounds =
+  Array.init nbuckets (fun i ->
+      if i = 0 then 0.0 else 2.0 ** (float_of_int (i - offset) /. 4.0))
+
+let bucket_of v =
+  if not (Float.is_finite v) || v > bounds.(nbuckets - 1) then nbuckets
+  else if v <= 0.0 then 0
+  else begin
+    let i = int_of_float (Float.ceil (4.0 *. Float.log2 v)) + offset in
+    let i = Stdlib.max 1 (Stdlib.min (nbuckets - 1) i) in
+    (* log2 rounding can land one bucket off next to a bound *)
+    if i > 1 && v <= bounds.(i - 1) then i - 1
+    else if v > bounds.(i) then i + 1
+    else i
+  end
+
+let cell () =
   { h_mutex = Mutex.create (); n = 0; sum = 0.0; lo = infinity;
-    hi = neg_infinity; bucket_counts = [] }
+    hi = neg_infinity; counts = Array.make nbuckets 0 }
 
 let histogram name =
   register name
-    (fun () -> Histogram (fresh_histogram ()))
+    (fun () -> Histogram (cell ()))
     (function Histogram h -> Some h | _ -> None)
 
 let incr ?(by = 1) c =
@@ -83,32 +105,40 @@ let set g v =
 
 let gauge_value g = g.value
 
-(* Power-of-two (octave) buckets: sample v > 0 falls in the bucket with
-   upper bound 2^ceil(log2 v); v <= 0 falls in the sentinel bucket
-   [min_int] rendered with bound 0. *)
-let bucket_of v =
-  if v <= 0.0 then min_int
-  else
-    let e = int_of_float (Float.ceil (Float.log2 v)) in
-    (* log2 rounding can land one octave low for exact powers of two *)
-    if 2.0 ** float_of_int (e - 1) >= v then e - 1 else e
-
 let observe h v =
+  let i = bucket_of v in
   Mutex.lock h.h_mutex;
   h.n <- h.n + 1;
   if Float.is_finite v then begin
     h.sum <- h.sum +. v;
     if v < h.lo then h.lo <- v;
-    if v > h.hi then h.hi <- v;
-    let b = bucket_of v in
-    let rec bump = function
-      | [] -> [ (b, 1) ]
-      | (e, c) :: rest when e = b -> (e, c + 1) :: rest
-      | pair :: rest -> pair :: bump rest
-    in
-    h.bucket_counts <- bump h.bucket_counts
+    if v > h.hi then h.hi <- v
   end;
+  if i < nbuckets then h.counts.(i) <- h.counts.(i) + 1;
   Mutex.unlock h.h_mutex
+
+let clear h =
+  Mutex.lock h.h_mutex;
+  h.n <- 0;
+  h.sum <- 0.0;
+  h.lo <- infinity;
+  h.hi <- neg_infinity;
+  Array.fill h.counts 0 nbuckets 0;
+  Mutex.unlock h.h_mutex
+
+let merge hs =
+  let m = cell () in
+  List.iter
+    (fun h ->
+      Mutex.lock h.h_mutex;
+      m.n <- m.n + h.n;
+      m.sum <- m.sum +. h.sum;
+      if h.lo < m.lo then m.lo <- h.lo;
+      if h.hi > m.hi then m.hi <- h.hi;
+      Array.iteri (fun i c -> m.counts.(i) <- m.counts.(i) + c) h.counts;
+      Mutex.unlock h.h_mutex)
+    hs;
+  m
 
 type histogram_stats = {
   count : int;
@@ -119,41 +149,42 @@ type histogram_stats = {
   buckets : (float * int) list;
 }
 
-let bound_of_bucket e =
-  if e = min_int then 0.0 else 2.0 ** float_of_int e
-
 let histogram_stats h =
   Mutex.lock h.h_mutex;
+  let buckets = ref [] in
+  for i = nbuckets - 1 downto 0 do
+    if h.counts.(i) > 0 then buckets := (bounds.(i), h.counts.(i)) :: !buckets
+  done;
   let n = h.n and sum = h.sum and lo = h.lo and hi = h.hi in
-  let bucket_counts = h.bucket_counts in
   Mutex.unlock h.h_mutex;
-  let buckets =
-    List.sort (fun (a, _) (b, _) -> Stdlib.compare (a : int) b) bucket_counts
-    |> List.map (fun (e, c) -> (bound_of_bucket e, c))
-  in
   {
     count = n;
     sum;
     mean = (if n = 0 then 0.0 else sum /. float_of_int n);
     min = lo;
     max = hi;
-    buckets;
+    buckets = !buckets;
   }
 
+(* The one quantile walk (see metrics.mli).  Clamping to the extrema
+   tightens the coarse first and last buckets. *)
 let quantile h q =
   if q < 0.0 || q > 1.0 then invalid_arg "Metrics.quantile: q out of range";
-  let { count; buckets; max = hi; _ } = histogram_stats h in
-  if count = 0 then 0.0
-  else begin
-    let target = q *. float_of_int count in
-    let rec walk acc = function
-      | [] -> (match hi with hi when Float.is_finite hi -> hi | _ -> 0.0)
-      | (bound, c) :: rest ->
-        let acc = acc +. float_of_int c in
-        if acc >= target then bound else walk acc rest
-    in
-    walk 0.0 buckets
-  end
+  Mutex.lock h.h_mutex;
+  let target = q *. float_of_int h.n in
+  let rec walk acc i =
+    if i >= nbuckets then h.hi
+    else begin
+      let c = h.counts.(i) in
+      let acc = acc + c in
+      if c > 0 && float_of_int acc >= target then
+        Float.min h.hi (Float.max h.lo bounds.(i))
+      else walk acc (i + 1)
+    end
+  in
+  let v = if Float.is_finite h.hi then walk 0 0 else 0.0 in
+  Mutex.unlock h.h_mutex;
+  v
 
 let names () =
   Mutex.lock registry_mutex;
@@ -172,14 +203,7 @@ let reset () =
         g.value <- 0.0;
         g.assigned <- false;
         Mutex.unlock g.g_mutex
-      | Histogram h ->
-        Mutex.lock h.h_mutex;
-        h.n <- 0;
-        h.sum <- 0.0;
-        h.lo <- infinity;
-        h.hi <- neg_infinity;
-        h.bucket_counts <- [];
-        Mutex.unlock h.h_mutex)
+      | Histogram h -> clear h)
     registry;
   Mutex.unlock registry_mutex
 

@@ -1,6 +1,16 @@
 (** Process-wide metrics registry: named counters, gauges and log-scale
     histograms.
 
+    Every histogram (registry instruments, the cells of a {!Rolling}
+    window) has one bucket grid and one {!quantile}.  The grid is
+    quarter-octave log2: 200 buckets of bound [2^(k/4)], from [2^-19.75]
+    to [2^29.75] (microseconds to weeks in ms), each holding the samples
+    above the next lower bound up to its own.  Samples [<= 0] land in a
+    bucket of bound 0, smaller positive ones in the lowest bucket.
+    Non-finite samples and samples above the grid land in no bucket (in
+    Prometheus terms, only in [+Inf]); non-finite ones count toward
+    [count] and nothing else.
+
     Instruments are registered once by name ([counter], [gauge] and
     [histogram] get-or-create) and are cheap to update from hot paths —
     a handle is a direct pointer into the registry, so updating never
@@ -29,8 +39,19 @@ val gauge : string -> gauge
     @raise Invalid_argument if the name exists with another kind. *)
 
 val histogram : string -> histogram
-(** Get or create the named log-scale histogram (power-of-two buckets).
+(** Get or create the named histogram (on the grid above).
     @raise Invalid_argument if the name exists with another kind. *)
+
+val cell : unit -> histogram
+(** A fresh histogram outside the registry: never named, listed,
+    snapshotted or reset by {!reset}.  The time slices of a {!Rolling}
+    window are cells. *)
+
+val clear : histogram -> unit
+(** Drop every sample of one histogram. *)
+
+val merge : histogram list -> histogram
+(** A fresh cell holding the samples of all the given histograms. *)
 
 val incr : ?by:int -> counter -> unit
 (** Add [by] (default 1) to a counter.  Negative [by] is rejected. *)
@@ -41,8 +62,7 @@ val set : gauge -> float -> unit
 val gauge_value : gauge -> float
 
 val observe : histogram -> float -> unit
-(** Record one sample.  Non-finite samples are counted but excluded from
-    the bucket/extrema accounting. *)
+(** Record one sample, by the rules above. *)
 
 type histogram_stats = {
   count : int;
@@ -51,16 +71,20 @@ type histogram_stats = {
   min : float;  (** +inf when empty. *)
   max : float;  (** -inf when empty. *)
   buckets : (float * int) list;
-      (** (upper bound, samples <= bound in this bucket), power-of-two
-          bounds, ascending; samples <= 0 land in the 0 bucket. *)
+      (** (upper bound, samples in this bucket), quarter-octave bounds,
+          ascending, non-empty buckets only; samples <= 0 land in the 0
+          bucket. *)
 }
 
 val histogram_stats : histogram -> histogram_stats
 
 val quantile : histogram -> float -> float
-(** [quantile h q] for [q] in [0, 1]: the bucket upper bound at which
-    the cumulative count reaches [q * count] — a log-scale
-    approximation, exact to within one power of two.  0 when empty. *)
+(** [quantile h q] for [q] in [0, 1]: the upper bound of the first
+    non-empty bucket at which the cumulative count reaches [q * count],
+    clamped to the observed [\[min, max\]] — at most a quarter octave
+    (~19%) above the exact value, and exact at the extremes.  [max] when
+    only samples outside the grid reach the target; 0 when the
+    histogram holds no finite sample. *)
 
 val names : unit -> string list
 (** All registered instrument names, sorted. *)

@@ -1,46 +1,19 @@
-(* Rolling-window histogram: a ring of time-bucketed sub-histograms.
+(* Rolling-window histogram: a ring of time-sliced [Metrics] cells.
 
    The window of [window_s] seconds is split into [slots] equal slices;
    each observation lands in the slice owning its timestamp and a slice
    is lazily cleared the first time it is reused for a newer period, so
    neither observation nor query ever walks more than the ring.  Stats
-   aggregate only the slices whose period falls inside the window, which
-   is what makes p50/p95/p99 reflect "the last N seconds" rather than
-   the process lifetime (the cumulative [Metrics.histogram] keeps that
-   role).
-
-   Value buckets are quarter-octave log2 (four buckets per doubling), so
-   a reported percentile is exact to within ~19% of the true value —
-   plenty for latency dashboards — while a slice stays a fixed 200-int
-   array.  Non-positive and non-finite samples land in the underflow
-   bucket (index 0) and are excluded from sum/extrema, mirroring
-   [Metrics.observe]. *)
-
-(* 200 quarter-octave buckets centred so index OFFSET holds values in
-   (2^-0.25, 1]; the span covers ~2^-20 .. 2^30 — microseconds to weeks
-   when samples are milliseconds. *)
-let nbuckets = 200
-let offset = 80
-
-let bucket_of v =
-  if not (Float.is_finite v) || v <= 0.0 then 0
-  else begin
-    let e = int_of_float (Float.ceil (4.0 *. Float.log2 v)) in
-    (* rounding can land one quarter-octave low for exact bounds *)
-    let e = if 2.0 ** (float_of_int (e - 1) /. 4.0) >= v then e - 1 else e in
-    Stdlib.min (nbuckets - 1) (Stdlib.max 1 (e + offset))
-  end
-
-let bound_of i =
-  if i = 0 then 0.0 else 2.0 ** (float_of_int (i - offset) /. 4.0)
+   merge only the slices whose period falls inside the window, which is
+   what makes p50/p95/p99 reflect "the last N seconds" rather than the
+   process lifetime (the cumulative [Metrics.histogram] keeps that
+   role).  The bucket grid, the rule for non-finite and non-positive
+   samples and the quantile are [Metrics']: this module only rotates
+   slices and measures the rate span. *)
 
 type slot = {
   mutable period : int;  (* floor (t / slot_s) when last written; -1 fresh *)
-  mutable s_count : int;
-  mutable s_sum : float;
-  mutable s_min : float;
-  mutable s_max : float;
-  counts : int array;
+  cell : Metrics.histogram;
 }
 
 type t = {
@@ -59,34 +32,28 @@ let create ?(window_s = 60.0) ?(slots = 12) () =
     mutex = Mutex.create ();
     window_s;
     slot_s = window_s /. float_of_int slots;
-    ring =
-      Array.init slots (fun _ ->
-          { period = -1; s_count = 0; s_sum = 0.0; s_min = infinity;
-            s_max = neg_infinity; counts = Array.make nbuckets 0 });
+    ring = Array.init slots (fun _ -> { period = -1; cell = Metrics.cell () });
     first_s = nan;
     total = 0;
   }
 
 let window_seconds t = t.window_s
 
-let clear_slot s period =
-  s.period <- period;
-  s.s_count <- 0;
-  s.s_sum <- 0.0;
-  s.s_min <- infinity;
-  s.s_max <- neg_infinity;
-  Array.fill s.counts 0 nbuckets 0
+let period_of t now = int_of_float (Float.floor (now /. t.slot_s))
 
 let slot_for t now =
-  let period = int_of_float (Float.floor (now /. t.slot_s)) in
-  let s = t.ring.(((period mod Array.length t.ring) + Array.length t.ring)
-                  mod Array.length t.ring) in
+  let period = period_of t now in
+  let n = Array.length t.ring in
+  let s = t.ring.(((period mod n) + n) mod n) in
   (* Clock skew: a timestamp older than what the slot already holds
      (period < s.period) must not resurrect the stale period — clearing
      here would silently wipe newer samples sharing the ring index.
      Fold the late sample into the newer slot instead; it is clamped
      forward in time, never lost, and window stats stay consistent. *)
-  if period > s.period then clear_slot s period;
+  if period > s.period then begin
+    s.period <- period;
+    Metrics.clear s.cell
+  end;
   s
 
 let observe ?now t v =
@@ -94,22 +61,15 @@ let observe ?now t v =
   Mutex.lock t.mutex;
   if Float.is_nan t.first_s then t.first_s <- now;
   t.total <- t.total + 1;
-  let s = slot_for t now in
-  s.s_count <- s.s_count + 1;
-  if Float.is_finite v then begin
-    s.s_sum <- s.s_sum +. v;
-    if v < s.s_min then s.s_min <- v;
-    if v > s.s_max then s.s_max <- v
-  end;
-  s.counts.(bucket_of v) <- s.counts.(bucket_of v) + 1;
+  Metrics.observe (slot_for t now).cell v;
   Mutex.unlock t.mutex
 
 type stats = {
-  count : int;  (** Samples inside the window. *)
-  total : int;  (** Lifetime samples, window-independent. *)
-  rate : float;  (** Samples per second over the covered window. *)
+  count : int;
+  total : int;
+  rate : float;
   mean : float;
-  min : float;  (** 0 when the window is empty. *)
+  min : float;
   max : float;
   p50 : float;
   p90 : float;
@@ -117,84 +77,62 @@ type stats = {
   p99 : float;
 }
 
-let empty_stats total =
-  { count = 0; total; rate = 0.0; mean = 0.0; min = 0.0; max = 0.0;
-    p50 = 0.0; p90 = 0.0; p95 = 0.0; p99 = 0.0 }
-
 let stats ?now t =
   let now = match now with Some n -> n | None -> Clock.now_s () in
   Mutex.lock t.mutex;
-  let current = int_of_float (Float.floor (now /. t.slot_s)) in
-  let nslots = Array.length t.ring in
-  let counts = Array.make nbuckets 0 in
-  let count = ref 0 and sum = ref 0.0 in
-  let mn = ref infinity and mx = ref neg_infinity in
-  let oldest = ref Stdlib.max_int in
-  Array.iter
-    (fun s ->
-      if s.period >= 0 && s.period > current - nslots && s.period <= current
-      then begin
-        count := !count + s.s_count;
-        sum := !sum +. s.s_sum;
-        if s.s_min < !mn then mn := s.s_min;
-        if s.s_max > !mx then mx := s.s_max;
-        if s.s_count > 0 && s.period < !oldest then oldest := s.period;
-        Array.iteri (fun i c -> counts.(i) <- counts.(i) + c) s.counts
-      end)
-    t.ring;
+  let current = period_of t now in
+  (* A slot gets a period only from [observe], so a live slot holds at
+     least one sample. *)
+  let live =
+    List.filter
+      (fun s ->
+        s.period >= 0
+        && s.period > current - Array.length t.ring
+        && s.period <= current)
+      (Array.to_list t.ring)
+  in
+  let window = Metrics.merge (List.map (fun s -> s.cell) live) in
+  let oldest =
+    List.fold_left (fun acc s -> Stdlib.min acc s.period) max_int live
+  in
   let total = t.total and first_s = t.first_s in
   Mutex.unlock t.mutex;
-  if !count = 0 then empty_stats total
-  else begin
-    let mn = if Float.is_finite !mn then !mn else 0.0 in
-    let mx = if Float.is_finite !mx then !mx else 0.0 in
-    (* Quantile: bucket upper bound at the cumulative target, clamped to
-       the observed extrema (tightens the coarse first/last bucket). *)
-    let quantile q =
-      let target = q *. float_of_int !count in
-      let rec walk acc i =
-        if i >= nbuckets then mx
-        else begin
-          let acc = acc +. float_of_int counts.(i) in
-          if acc >= target && counts.(i) > 0 then
-            Stdlib.min mx (Stdlib.max mn (bound_of i))
-          else walk acc (i + 1)
-        end
-      in
-      walk 0.0 0
+  let h = Metrics.histogram_stats window in
+  let finite v = if Float.is_finite v then v else 0.0 in
+  let quantile = Metrics.quantile window in
+  (* The rate denominator is the window actually covered: from the
+     start of the oldest live slice (or the first observation, early in
+     the process lifetime) to now, capped at the window.  An empty
+     window has rate 0 over any positive span. *)
+  let span =
+    let from_slot = now -. (float_of_int oldest *. t.slot_s) in
+    let covered = Stdlib.min t.window_s from_slot in
+    let covered =
+      if Float.is_nan first_s then covered
+      else Stdlib.min covered (Stdlib.max (now -. first_s) t.slot_s)
     in
-    (* The rate denominator is the window actually covered: from the
-       start of the oldest populated slice (or the first observation,
-       early in the process lifetime) to now, capped at the window. *)
-    let span =
-      let from_slot =
-        if !oldest = Stdlib.max_int then t.window_s
-        else now -. (float_of_int !oldest *. t.slot_s)
-      in
-      let covered = Stdlib.min t.window_s from_slot in
-      let covered =
-        if Float.is_nan first_s then covered
-        else Stdlib.min covered (Stdlib.max (now -. first_s) t.slot_s)
-      in
-      Stdlib.max covered (t.slot_s *. 0.5)
-    in
-    {
-      count = !count;
-      total;
-      rate = float_of_int !count /. span;
-      mean = !sum /. float_of_int !count;
-      min = mn;
-      max = mx;
-      p50 = quantile 0.5;
-      p90 = quantile 0.9;
-      p95 = quantile 0.95;
-      p99 = quantile 0.99;
-    }
-  end
+    Stdlib.max covered (t.slot_s *. 0.5)
+  in
+  {
+    count = h.count;
+    total;
+    rate = float_of_int h.count /. span;
+    mean = finite h.mean;
+    min = finite h.min;
+    max = finite h.max;
+    p50 = quantile 0.5;
+    p90 = quantile 0.9;
+    p95 = quantile 0.95;
+    p99 = quantile 0.99;
+  }
 
 let reset t =
   Mutex.lock t.mutex;
-  Array.iter (fun s -> clear_slot s (-1)) t.ring;
+  Array.iter
+    (fun s ->
+      s.period <- -1;
+      Metrics.clear s.cell)
+    t.ring;
   t.first_s <- nan;
   t.total <- 0;
   Mutex.unlock t.mutex

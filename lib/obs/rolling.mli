@@ -1,15 +1,16 @@
 (** Rolling-window histogram: percentiles over the last N seconds.
 
-    A ring of time-sliced sub-histograms; each observation lands in the
-    slice owning its timestamp and stale slices are cleared lazily on
-    reuse, so both {!observe} and {!stats} are O(ring).  {!stats}
-    aggregates only slices inside the window, so p50/p95/p99 describe
-    recent behaviour — the live-telemetry complement to the cumulative
+    A ring of time-sliced {!Metrics.cell}s; each observation lands in
+    the slice owning its timestamp and stale slices are cleared lazily
+    on reuse, so both {!observe} and {!stats} are O(ring).  {!stats}
+    merges only slices inside the window, so p50/p95/p99 describe recent
+    behaviour — the live-telemetry complement to the cumulative
     {!Metrics.histogram}.
 
-    Values are bucketed on a quarter-octave log2 grid (four buckets per
-    doubling): reported percentiles are exact to within ~19%, tightened
-    by clamping to the observed min/max.  Thread-safe; like the metrics
+    The bucket grid (quarter-octave), the rule for non-finite and
+    non-positive samples and the clamped quantile are {!Metrics}': the
+    same samples give a {!Metrics.histogram} and a window the same
+    count, extrema and percentiles.  Thread-safe; like the metrics
     registry it only ever observes, never influences, results.
 
     Every entry point takes [?now] (seconds, {!Clock.now_s} domain,
@@ -26,9 +27,9 @@ val create : ?window_s:float -> ?slots:int -> unit -> t
 val window_seconds : t -> float
 
 val observe : ?now:float -> t -> float -> unit
-(** Record one sample at time [now].  Non-finite and non-positive
-    samples count toward [count]/[rate] but land in the underflow bucket
-    and are excluded from sum/extrema, mirroring {!Metrics.observe}.
+(** Record one sample at time [now], by {!Metrics.observe}'s rules:
+    every sample counts toward [count]/[rate], a non-finite one toward
+    nothing else.
 
     Clock skew: a [now] older than the slice its timestamp maps to is
     folded into that newer slice (clamped forward in time) rather than
@@ -40,7 +41,7 @@ type stats = {
   total : int;  (** Lifetime samples, window-independent. *)
   rate : float;  (** Samples per second over the covered window. *)
   mean : float;
-  min : float;  (** 0 when the window is empty. *)
+  min : float;  (** 0 when the window holds no finite sample. *)
   max : float;
   p50 : float;
   p90 : float;

@@ -57,7 +57,8 @@ type class_stats = {
   count : int;  (** Successful requests. *)
   errors : int;  (** Failed or rejected requests. *)
   mean_ms : float;
-  p50_ms : float;  (** Exact (sorted-sample) percentiles. *)
+  p50_ms : float;
+      (** Exact nearest-rank percentiles ({!Repro_util.Stats.percentile}). *)
   p95_ms : float;
   p99_ms : float;
   max_ms : float;

@@ -291,18 +291,14 @@ let health_json t =
       ("executors", Json.Num (float_of_int (Array.length t.executors)));
       ("jobs", Json.Num (float_of_int (Par.jobs ()))) ]
 
-(* Extrema are guarded per-field, not by [count <> 0]: a histogram fed
-   only non-finite samples has count > 0 but sentinel extrema, and
-   [Json.Num infinity] would render as [null] — unparseable stats. *)
+(* [Metrics.histogram_stats_fields] without [sum] and [buckets]: finite
+   JSON even for a histogram fed only non-finite samples. *)
 let histogram_json h =
   let s = Metrics.histogram_stats h in
-  let finite name v = if Float.is_finite v then [ (name, Json.Num v) ] else [] in
   Json.Obj
-    ([ ("count", Json.Num (float_of_int s.Metrics.count));
-       ("mean",
-        Json.Num (if Float.is_finite s.Metrics.mean then s.Metrics.mean else 0.0)) ]
-    @ finite "min" s.Metrics.min
-    @ finite "max" s.Metrics.max
+    (List.filter
+       (fun (k, _) -> k <> "sum" && k <> "buckets")
+       (Metrics.histogram_stats_fields s)
     @
     if s.Metrics.count = 0 then []
     else

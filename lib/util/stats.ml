@@ -29,14 +29,8 @@ let percentile xs ~p =
   (* Float.compare, not polymorphic compare: total over NaN and an
      order of magnitude cheaper than the generic comparison. *)
   Array.sort Float.compare sorted;
-  let n = Array.length sorted in
-  let rank = p /. 100.0 *. float_of_int (n - 1) in
-  let lo = int_of_float (floor rank) in
-  let hi = int_of_float (ceil rank) in
-  if lo = hi then sorted.(lo)
-  else
-    let frac = rank -. float_of_int lo in
-    sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
+  let n = float_of_int (Array.length sorted) in
+  sorted.(Stdlib.max 1 (int_of_float (Float.ceil (p /. 100.0 *. n))) - 1)
 
 let correlation xs ys =
   if Array.length xs <> Array.length ys then

@@ -17,8 +17,12 @@ val min_max : float array -> float * float
 (** Smallest and largest element.  @raise Invalid_argument on empty. *)
 
 val percentile : float array -> p:float -> float
-(** [percentile xs ~p] for [p] in [\[0, 100\]], by linear interpolation on
-    the sorted copy.  @raise Invalid_argument on empty or out-of-range p. *)
+(** [percentile xs ~p] for [p] in [\[0, 100\]] by the nearest-rank rule:
+    the element of rank [max 1 (ceil (p/100 * n))] (1-based) of the
+    sorted copy, always a sample, never an interpolation.  The same rule
+    as the benchmark's [perfbench/metrics.py]: on 1..200, p50 = 100,
+    p95 = 190, p99 = 198.
+    @raise Invalid_argument on empty or out-of-range p. *)
 
 val correlation : float array -> float array -> float
 (** Pearson correlation coefficient of two equal-length samples.

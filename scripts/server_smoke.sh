@@ -12,7 +12,8 @@
 #     daemon with content-distinct requests yields structured
 #     `overloaded` rejections, never hangs or crashes;
 #   - telemetry: `--time` reports the server-side wall time, `stats`
-#     carries rolling percentiles, the `metrics` request serves
+#     carries rolling percentiles whose p50 equals the cumulative
+#     latency p50 (one histogram grid), the `metrics` request serves
 #     Prometheus text and a JSON snapshot, `top --once` renders, and the
 #     JSONL access log records every data-plane request (rejections
 #     included);
@@ -131,6 +132,16 @@ echo "cache hits: $HITS"
 grep -q 'rolling' "$TMP/top.out" || fail "top carries no rolling line"
 grep -q 'executors e0' "$TMP/top.out" || fail "top carries no executor line"
 echo "telemetry endpoints ok (stats rolling/coalesced/executors, metrics, top)"
+
+# One histogram: stats' cumulative and rolling latency read the same
+# samples, on the same grid and quantile, so their p50 agree.
+"$W" client -A "$SOCK" stats >"$TMP/stats.json"
+python3 -c 'import json, sys
+s = json.load(open(sys.argv[1]))
+cum, rol = s["latency_ms"], s["rolling"]["latency_ms"]
+assert cum["count"] == rol["count"] and cum["p50"] == rol["p50"], (cum, rol)
+print("latency p50 %g ms, cumulative == rolling" % cum["p50"])' "$TMP/stats.json" \
+  || fail "stats cumulative and rolling latency p50 disagree"
 
 # Live flight-ring snapshot over the control plane, renderable offline.
 "$W" client -A "$SOCK" flight >"$TMP/flight-snap.json" \

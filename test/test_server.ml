@@ -1076,6 +1076,35 @@ let test_server_telemetry () =
         "cold miss then warm hit"
         [ Some "miss"; Some "hit" ] outcomes)
 
+let test_stats_percentiles_agree () =
+  (* One histogram: [stats]' cumulative [latency_ms] and its rolling
+     [latency_ms] read the same samples in [Server.finish], so on a
+     fresh registry, well inside the window, their percentiles agree. *)
+  Repro_obs.Metrics.reset ();
+  with_server (fun address _t ->
+      with_client address (fun c ->
+          let opts = Protocol.default_opts ~benchmark:"s15850" in
+          for i = 1 to 20 do
+            ignore
+              (request_exn c
+                 (if i mod 2 = 0 then Protocol.Validate { opts; all = false }
+                  else
+                    Protocol.Run { opts; algorithm = Flow.Initial; warm = false }))
+          done;
+          let stats = (request_exn c Protocol.Stats).Protocol.body in
+          let num path =
+            match Option.bind (get path stats) Json.float_value with
+            | Some v -> v
+            | None -> Alcotest.failf "stats lack %s" (String.concat "." path)
+          in
+          List.iter
+            (fun field ->
+              Alcotest.(check (float 0.0))
+                ("cumulative " ^ field ^ " = rolling " ^ field)
+                (num [ "latency_ms"; field ])
+                (num [ "rolling"; "latency_ms"; field ]))
+            [ "count"; "p50"; "p90" ]))
+
 let test_sampler_gauges () =
   (* The runtime sampler mirrors the rolling percentiles, per-executor
      state and the pool busy fraction as gauges; every one of them must
@@ -1822,6 +1851,8 @@ let () =
           Alcotest.test_case "backpressure" `Slow test_server_backpressure;
           Alcotest.test_case "coalescing" `Slow test_server_coalescing;
           Alcotest.test_case "telemetry" `Quick test_server_telemetry;
+          Alcotest.test_case "stats percentiles agree" `Quick
+            test_stats_percentiles_agree;
           Alcotest.test_case "sampler gauges" `Quick test_sampler_gauges;
           Alcotest.test_case "fault seams" `Slow test_server_survives_faults ] );
       ( "resilience",

@@ -134,6 +134,41 @@ let rolling_clock_skew_prop =
              s.Rolling.p95; s.Rolling.p99; s.Rolling.rate ]
       && (s.Rolling.count = 0 || s.Rolling.min <= s.Rolling.max))
 
+let rolling_matches_metrics_prop =
+  (* One grid, one quantile: the same samples at one timestamp give a
+     fresh Metrics histogram and a Rolling window the same count and
+     extrema and bit-equal percentiles, including zero, negative,
+     non-finite and off-grid samples. *)
+  let sample =
+    QCheck.Gen.(
+      frequency
+        [ (8, map (fun e -> 2.0 ** e) (float_range (-25.0) 35.0));
+          (1, return 0.0);
+          (1, map Float.neg (float_range 0.0 100.0));
+          (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity ]) ])
+  in
+  QCheck.Test.make ~count:300 ~name:"rolling window == metrics histogram"
+    QCheck.(
+      make ~print:Print.(list float) Gen.(list_size (1 -- 60) sample))
+    (fun samples ->
+      Metrics.reset ();
+      let h = Metrics.histogram "telemetry.test.agree" in
+      let r = Rolling.create ~window_s:60.0 () in
+      List.iter
+        (fun v ->
+          Metrics.observe h v;
+          Rolling.observe ~now:50.0 r v)
+        samples;
+      let s = Metrics.histogram_stats h and w = Rolling.stats ~now:50.0 r in
+      let finite v = if Float.is_finite v then v else 0.0 in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      w.Rolling.count = s.Metrics.count
+      && same w.Rolling.min (finite s.Metrics.min)
+      && same w.Rolling.max (finite s.Metrics.max)
+      && same w.Rolling.p50 (Metrics.quantile h 0.5)
+      && same w.Rolling.p90 (Metrics.quantile h 0.9)
+      && same w.Rolling.p99 (Metrics.quantile h 0.99))
+
 let test_rolling_rate () =
   let r = Rolling.create ~window_s:60.0 ~slots:12 () in
   for i = 0 to 29 do
@@ -524,7 +559,8 @@ let () =
           Alcotest.test_case "rate" `Quick test_rolling_rate;
           Alcotest.test_case "reset + non-finite" `Quick
             test_rolling_reset_and_nonfinite;
-          QCheck_alcotest.to_alcotest rolling_clock_skew_prop ] );
+          QCheck_alcotest.to_alcotest rolling_clock_skew_prop;
+          QCheck_alcotest.to_alcotest rolling_matches_metrics_prop ] );
       ( "flight",
         [ Alcotest.test_case "disabled is a no-op" `Quick
             test_flight_disabled_is_noop;

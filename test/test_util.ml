@@ -103,7 +103,16 @@ let test_stats_percentile () =
   check_float "median" 3.0 (Stats.percentile xs ~p:50.0);
   check_float "min" 1.0 (Stats.percentile xs ~p:0.0);
   check_float "max" 5.0 (Stats.percentile xs ~p:100.0);
-  check_float "interp" 1.5 (Stats.percentile xs ~p:12.5)
+  check_float "nearest rank, not interpolated" 1.0
+    (Stats.percentile xs ~p:12.5)
+
+let test_stats_percentile_nearest_rank () =
+  (* The vectors of perfbench/test_metrics.py: linear interpolation
+     would give 100.5, 190.05 and 198.01. *)
+  let xs = Array.init 200 (fun i -> float_of_int (i + 1)) in
+  check_float "p50" 100.0 (Stats.percentile xs ~p:50.0);
+  check_float "p95" 190.0 (Stats.percentile xs ~p:95.0);
+  check_float "p99" 198.0 (Stats.percentile xs ~p:99.0)
 
 let test_stats_correlation () =
   let xs = [| 1.0; 2.0; 3.0; 4.0 |] in
@@ -296,6 +305,8 @@ let () =
           Alcotest.test_case "normalized stddev" `Quick test_stats_normalized_stddev;
           Alcotest.test_case "min max" `Quick test_stats_min_max;
           Alcotest.test_case "percentile" `Quick test_stats_percentile;
+          Alcotest.test_case "percentile nearest rank" `Quick
+            test_stats_percentile_nearest_rank;
           Alcotest.test_case "correlation" `Quick test_stats_correlation;
           Alcotest.test_case "fraction" `Quick test_stats_fraction;
           Alcotest.test_case "empty rejected" `Quick test_stats_empty_rejected;
