@@ -236,6 +236,15 @@ let print_run (r : Flow.run) =
   if r.Flow.approximate then
     Format.printf "  (label cap tripped: result approximate beyond epsilon)@."
 
+(* Run [f] on the named built-in benchmark; an unknown name is a usage
+   error. *)
+let with_benchmark name f =
+  match Benchmarks.find name with
+  | spec -> f spec
+  | exception Not_found ->
+    Format.eprintf "unknown benchmark %s@." name;
+    1
+
 (* Synthesize [spec], then run [strategy] on it; a synthesis failure is
    an [Error] with no degradations. *)
 let solve_benchmark ?budget ~params spec strategy =
@@ -308,32 +317,28 @@ let run_cmd =
       print_verror e;
       2
     | Ok algo -> (
-      match Benchmarks.find name with
-      | spec -> (
-        match
-          solve_benchmark ~params:(params_of kappa slots)
-            ?budget:(budget_of budget_ms) spec
-            (if portfolio then Flow.Portfolio else Flow.Chain algo)
-        with
-        | Ok (p, r) ->
-          print_run r;
-          print_portfolio r.Flow.portfolio;
-          print_degradations r.Flow.degradations;
-          (match export with
-          | None -> ()
-          | Some path ->
-            export_assignment path r (Flow.prepared_tree p);
-            Format.printf "  assignment written to %s@." path);
-          finish ();
-          exit_of ~strict ~approximate:r.Flow.approximate r.Flow.degradations
-        | Error (e, degs) ->
-          print_degradations degs;
-          finish ();
-          print_verror e;
-          2)
-      | exception Not_found ->
-        Format.eprintf "unknown benchmark %s@." name;
-        1)
+      with_benchmark name @@ fun spec ->
+      match
+        solve_benchmark ~params:(params_of kappa slots)
+          ?budget:(budget_of budget_ms) spec
+          (if portfolio then Flow.Portfolio else Flow.Chain algo)
+      with
+      | Ok (p, r) ->
+        print_run r;
+        print_portfolio r.Flow.portfolio;
+        print_degradations r.Flow.degradations;
+        (match export with
+        | None -> ()
+        | Some path ->
+          export_assignment path r (Flow.prepared_tree p);
+          Format.printf "  assignment written to %s@." path);
+        finish ();
+        exit_of ~strict ~approximate:r.Flow.approximate r.Flow.degradations
+      | Error (e, degs) ->
+        print_degradations degs;
+        finish ();
+        print_verror e;
+        2)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Optimize one benchmark")
@@ -376,27 +381,23 @@ let profile_cmd =
   let run name algo kappa slots jobs level trace json =
     apply_jobs jobs;
     let finish = setup_obs ~force_trace:true level trace (not json) in
-    match Benchmarks.find name with
-    | spec -> (
-      match
-        solve_benchmark ~params:(params_of kappa slots) spec (Flow.Single algo)
-      with
-      | Error (e, _) ->
-        finish ();
-        print_verror e;
-        2
-      | Ok (_, r) ->
-        if json then print_endline (Json.to_string_pretty (profile_json r))
-        else begin
-          print_run r;
-          Format.printf "@.span tree:@.";
-          print_string (Obs_trace.to_text_tree ())
-        end;
-        finish ();
-        0)
-    | exception Not_found ->
-      Format.eprintf "unknown benchmark %s@." name;
-      1
+    with_benchmark name @@ fun spec ->
+    match
+      solve_benchmark ~params:(params_of kappa slots) spec (Flow.Single algo)
+    with
+    | Error (e, _) ->
+      finish ();
+      print_verror e;
+      2
+    | Ok (_, r) ->
+      if json then print_endline (Json.to_string_pretty (profile_json r))
+      else begin
+        print_run r;
+        Format.printf "@.span tree:@.";
+        print_string (Obs_trace.to_text_tree ())
+      end;
+      finish ();
+      0
   in
   Cmd.v
     (Cmd.info "profile"
@@ -416,52 +417,48 @@ let compare_cmd =
       print_verror e;
       2
     | Ok forced -> (
-    match Benchmarks.find name with
-    | spec ->
-      let params = params_of kappa slots in
-      let t =
-        Table.create
-          ~headers:
-            [ "algorithm"; "peak (mA)"; "VDD (mV)"; "GND (mV)"; "skew (ps)";
-              "#inv"; "time (s)" ]
-      in
-      let code = ref 0 in
-      let bump c = if c > !code then code := c in
-      let degradations = ref [] in
-      List.iter
-        (fun algo ->
-          match
-            solve_benchmark ~params ?budget:(budget_of budget_ms) spec
-              (Flow.Chain algo)
-          with
-          | Ok (_, r) ->
-            degradations := !degradations @ r.Flow.degradations;
-            bump (exit_of ~strict ~approximate:r.Flow.approximate
-                    r.Flow.degradations);
-            Table.add_row t
-              [ Flow.algorithm_name r.Flow.algorithm;
-                Table.cell_f r.Flow.metrics.Golden.peak_current_ma;
-                Table.cell_f r.Flow.metrics.Golden.vdd_noise_mv;
-                Table.cell_f r.Flow.metrics.Golden.gnd_noise_mv;
-                Table.cell_f r.Flow.metrics.Golden.skew_ps;
-                Table.cell_i r.Flow.num_leaf_inverters;
-                Table.cell_f ~decimals:3 r.Flow.elapsed_s ]
-          | Error (e, degs) ->
-            degradations := !degradations @ degs;
-            bump 2;
-            print_verror e;
-            Table.add_row t
-              [ Flow.algorithm_name algo; "failed"; "-"; "-"; "-"; "-"; "-" ])
-        (match solver with
-        | Some _ -> [ forced ]
-        | None -> [ Flow.Initial; Flow.Peakmin; Flow.Wavemin; Flow.Wavemin_fast ]);
-      print_string (Table.render t);
-      print_degradations !degradations;
-      finish ();
-      !code
-    | exception Not_found ->
-      Format.eprintf "unknown benchmark %s@." name;
-      1)
+    with_benchmark name @@ fun spec ->
+    let params = params_of kappa slots in
+    let t =
+      Table.create
+        ~headers:
+          [ "algorithm"; "peak (mA)"; "VDD (mV)"; "GND (mV)"; "skew (ps)";
+            "#inv"; "time (s)" ]
+    in
+    let code = ref 0 in
+    let bump c = if c > !code then code := c in
+    let degradations = ref [] in
+    List.iter
+      (fun algo ->
+        match
+          solve_benchmark ~params ?budget:(budget_of budget_ms) spec
+            (Flow.Chain algo)
+        with
+        | Ok (_, r) ->
+          degradations := !degradations @ r.Flow.degradations;
+          bump (exit_of ~strict ~approximate:r.Flow.approximate
+                  r.Flow.degradations);
+          Table.add_row t
+            [ Flow.algorithm_name r.Flow.algorithm;
+              Table.cell_f r.Flow.metrics.Golden.peak_current_ma;
+              Table.cell_f r.Flow.metrics.Golden.vdd_noise_mv;
+              Table.cell_f r.Flow.metrics.Golden.gnd_noise_mv;
+              Table.cell_f r.Flow.metrics.Golden.skew_ps;
+              Table.cell_i r.Flow.num_leaf_inverters;
+              Table.cell_f ~decimals:3 r.Flow.elapsed_s ]
+        | Error (e, degs) ->
+          degradations := !degradations @ degs;
+          bump 2;
+          print_verror e;
+          Table.add_row t
+            [ Flow.algorithm_name algo; "failed"; "-"; "-"; "-"; "-"; "-" ])
+      (match solver with
+      | Some _ -> [ forced ]
+      | None -> [ Flow.Initial; Flow.Peakmin; Flow.Wavemin; Flow.Wavemin_fast ]);
+    print_string (Table.render t);
+    print_degradations !degradations;
+    finish ();
+    !code)
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Compare the algorithms on one benchmark")
@@ -474,51 +471,47 @@ let montecarlo_cmd =
   in
   let run name kappa slots jobs strict budget_ms instances =
     apply_jobs jobs;
-    match Benchmarks.find name with
-    | spec -> (
+    with_benchmark name @@ fun spec ->
+    match
+      solve_benchmark ~params:(params_of kappa slots)
+        ?budget:(budget_of budget_ms) spec (Flow.Chain Flow.Wavemin)
+    with
+    | Error (e, degs) ->
+      print_degradations degs;
+      print_verror e;
+      2
+    | Ok (p, r) -> (
+      print_degradations r.Flow.degradations;
+      let config =
+        { Repro_core.Montecarlo.default_config with
+          Repro_core.Montecarlo.instances;
+          kappa = Float.max kappa 100.0 }
+      in
       match
-        solve_benchmark ~params:(params_of kappa slots)
-          ?budget:(budget_of budget_ms) spec (Flow.Chain Flow.Wavemin)
+        Verrors.guard ~stage:"montecarlo" (fun () ->
+            Repro_core.Montecarlo.run ~config (Flow.prepared_tree p)
+              r.Flow.assignment)
       with
-      | Error (e, degs) ->
-        print_degradations degs;
+      | Error e ->
         print_verror e;
         2
-      | Ok (p, r) -> (
-        print_degradations r.Flow.degradations;
-        let config =
-          { Repro_core.Montecarlo.default_config with
-            Repro_core.Montecarlo.instances;
-            kappa = Float.max kappa 100.0 }
-        in
-        match
-          Verrors.guard ~stage:"montecarlo" (fun () ->
-              Repro_core.Montecarlo.run ~config (Flow.prepared_tree p)
-                r.Flow.assignment)
-        with
-        | Error e ->
-          print_verror e;
-          2
-        | Ok rep ->
-          Format.printf "Monte-Carlo (%d instances, sigma/mu = %.0f%%):@."
-            instances
-            (100.0 *. config.Repro_core.Montecarlo.sigma_ratio);
-          Format.printf "  skew yield     %6.1f%% (kappa = %.0f ps)@."
-            (100.0 *. rep.Repro_core.Montecarlo.skew_yield)
-            config.Repro_core.Montecarlo.kappa;
-          Format.printf "  mean skew      %6.2f ps@."
-            rep.Repro_core.Montecarlo.mean_skew;
-          Format.printf "  sigma/mu peak  %6.3f@."
-            rep.Repro_core.Montecarlo.norm_std_peak;
-          Format.printf "  sigma/mu VDD   %6.3f@."
-            rep.Repro_core.Montecarlo.norm_std_vdd;
-          Format.printf "  sigma/mu GND   %6.3f@."
-            rep.Repro_core.Montecarlo.norm_std_gnd;
-          exit_of ~strict ~approximate:r.Flow.approximate
-            r.Flow.degradations))
-    | exception Not_found ->
-      Format.eprintf "unknown benchmark %s@." name;
-      1
+      | Ok rep ->
+        Format.printf "Monte-Carlo (%d instances, sigma/mu = %.0f%%):@."
+          instances
+          (100.0 *. config.Repro_core.Montecarlo.sigma_ratio);
+        Format.printf "  skew yield     %6.1f%% (kappa = %.0f ps)@."
+          (100.0 *. rep.Repro_core.Montecarlo.skew_yield)
+          config.Repro_core.Montecarlo.kappa;
+        Format.printf "  mean skew      %6.2f ps@."
+          rep.Repro_core.Montecarlo.mean_skew;
+        Format.printf "  sigma/mu peak  %6.3f@."
+          rep.Repro_core.Montecarlo.norm_std_peak;
+        Format.printf "  sigma/mu VDD   %6.3f@."
+          rep.Repro_core.Montecarlo.norm_std_vdd;
+        Format.printf "  sigma/mu GND   %6.3f@."
+          rep.Repro_core.Montecarlo.norm_std_gnd;
+        exit_of ~strict ~approximate:r.Flow.approximate
+          r.Flow.degradations)
   in
   Cmd.v
     (Cmd.info "montecarlo" ~doc:"Process-variation analysis (Sec. VII-D)")
@@ -566,54 +559,50 @@ let multimode_cmd =
   in
   let run name kappa slots jobs modes islands_n =
     apply_jobs jobs;
-    match Benchmarks.find name with
-    | spec -> (
-      match
-        Verrors.guard ~stage:"multimode" @@ fun () ->
-      let tree = Benchmarks.synthesize spec in
-      let islands =
-        Repro_cts.Islands.grid ~die_side:spec.Benchmarks.die_side
-          ~count:islands_n
-      in
-      let rng = Repro_util.Rng.create ~seed:(spec.Benchmarks.seed * 31) in
-      let vdds =
-        Repro_cts.Islands.random_modes rng islands ~num_modes:modes ()
-      in
-      let envs =
-        Array.mapi
-          (fun mode_idx mode_vdds ->
-            { (Repro_clocktree.Timing.nominal ~mode:mode_idx ()) with
-              Repro_clocktree.Timing.vdd_of =
-                (fun nd -> Repro_cts.Islands.vdd_of_node islands mode_vdds nd) })
-          vdds
-      in
-      let params =
-        { (params_of kappa slots) with Context.max_interval_classes = 8 }
-      in
-      let o = Repro_core.Clk_wavemin_m.optimize ~params tree ~envs in
-      let m =
-        Golden.worst_over_modes tree o.Repro_core.Clk_wavemin_m.assignment envs
-      in
-      Format.printf "ClkWaveMin-M on %s (%d modes, %d islands, kappa %.0f ps):@."
-        name modes (Repro_cts.Islands.count islands) kappa;
-      Format.printf "  worst peak current %8.2f mA@." m.Golden.peak_current_ma;
-      Format.printf "  worst VDD noise    %8.2f mV@." m.Golden.vdd_noise_mv;
-      Format.printf "  worst GND noise    %8.2f mV@." m.Golden.gnd_noise_mv;
-      Format.printf "  #ADBs %d, #ADIs %d, used embedding %b, feasible %b@."
-        o.Repro_core.Clk_wavemin_m.num_adbs o.Repro_core.Clk_wavemin_m.num_adis
-        o.Repro_core.Clk_wavemin_m.used_adb_embedding
-        o.Repro_core.Clk_wavemin_m.feasible;
-      Format.printf "  per-mode skews:";
-      Array.iter (fun s -> Format.printf " %.1f" s) o.Repro_core.Clk_wavemin_m.skews;
-      Format.printf " ps@."
-      with
-      | Ok () -> 0
-      | Error e ->
-        print_verror e;
-        2)
-    | exception Not_found ->
-      Format.eprintf "unknown benchmark %s@." name;
-      1
+    with_benchmark name @@ fun spec ->
+    match
+      Verrors.guard ~stage:"multimode" @@ fun () ->
+    let tree = Benchmarks.synthesize spec in
+    let islands =
+      Repro_cts.Islands.grid ~die_side:spec.Benchmarks.die_side
+        ~count:islands_n
+    in
+    let rng = Repro_util.Rng.create ~seed:(spec.Benchmarks.seed * 31) in
+    let vdds =
+      Repro_cts.Islands.random_modes rng islands ~num_modes:modes ()
+    in
+    let envs =
+      Array.mapi
+        (fun mode_idx mode_vdds ->
+          { (Repro_clocktree.Timing.nominal ~mode:mode_idx ()) with
+            Repro_clocktree.Timing.vdd_of =
+              (fun nd -> Repro_cts.Islands.vdd_of_node islands mode_vdds nd) })
+        vdds
+    in
+    let params =
+      { (params_of kappa slots) with Context.max_interval_classes = 8 }
+    in
+    let o = Repro_core.Clk_wavemin_m.optimize ~params tree ~envs in
+    let m =
+      Golden.worst_over_modes tree o.Repro_core.Clk_wavemin_m.assignment envs
+    in
+    Format.printf "ClkWaveMin-M on %s (%d modes, %d islands, kappa %.0f ps):@."
+      name modes (Repro_cts.Islands.count islands) kappa;
+    Format.printf "  worst peak current %8.2f mA@." m.Golden.peak_current_ma;
+    Format.printf "  worst VDD noise    %8.2f mV@." m.Golden.vdd_noise_mv;
+    Format.printf "  worst GND noise    %8.2f mV@." m.Golden.gnd_noise_mv;
+    Format.printf "  #ADBs %d, #ADIs %d, used embedding %b, feasible %b@."
+      o.Repro_core.Clk_wavemin_m.num_adbs o.Repro_core.Clk_wavemin_m.num_adis
+      o.Repro_core.Clk_wavemin_m.used_adb_embedding
+      o.Repro_core.Clk_wavemin_m.feasible;
+    Format.printf "  per-mode skews:";
+    Array.iter (fun s -> Format.printf " %.1f" s) o.Repro_core.Clk_wavemin_m.skews;
+    Format.printf " ps@."
+    with
+    | Ok () -> 0
+    | Error e ->
+      print_verror e;
+      2
   in
   Cmd.v
     (Cmd.info "multimode" ~doc:"ClkWaveMin-M on a benchmark (Sec. VI)")
@@ -625,16 +614,12 @@ let export_cmd =
     Arg.(value & flag & info [ "dot" ] ~doc:"Emit Graphviz DOT instead of the table")
   in
   let run name dot =
-    match Benchmarks.find name with
-    | spec ->
-      let tree = Benchmarks.synthesize spec in
-      print_string
-        (if dot then Repro_clocktree.Export.to_dot tree
-         else Repro_clocktree.Export.to_table tree);
-      0
-    | exception Not_found ->
-      Format.eprintf "unknown benchmark %s@." name;
-      1
+    with_benchmark name @@ fun spec ->
+    let tree = Benchmarks.synthesize spec in
+    print_string
+      (if dot then Repro_clocktree.Export.to_dot tree
+       else Repro_clocktree.Export.to_table tree);
+    0
   in
   Cmd.v
     (Cmd.info "export" ~doc:"Dump a benchmark's clock tree")
@@ -642,15 +627,11 @@ let export_cmd =
 
 let stats_cmd =
   let run name =
-    match Benchmarks.find name with
-    | spec ->
-      let tree = Benchmarks.synthesize spec in
-      Format.printf "%a@." Repro_clocktree.Tree_stats.pp
-        (Repro_clocktree.Tree_stats.compute tree);
-      0
-    | exception Not_found ->
-      Format.eprintf "unknown benchmark %s@." name;
-      1
+    with_benchmark name @@ fun spec ->
+    let tree = Benchmarks.synthesize spec in
+    Format.printf "%a@." Repro_clocktree.Tree_stats.pp
+      (Repro_clocktree.Tree_stats.compute tree);
+    0
   in
   Cmd.v
     (Cmd.info "stats" ~doc:"Clock-tree statistics of a benchmark")
@@ -663,23 +644,19 @@ let report_cmd =
   in
   let run name kappa slots jobs out =
     apply_jobs jobs;
-    match Benchmarks.find name with
-    | spec ->
-      let report =
-        Repro_core.Report.for_benchmark ~params:(params_of kappa slots) spec
-          ~algorithms:[ Flow.Initial; Flow.Peakmin; Flow.Wavemin; Flow.Wavemin_fast ]
-      in
-      (match out with
-      | None -> print_string report
-      | Some path ->
-        let oc = open_out path in
-        output_string oc report;
-        close_out oc;
-        Format.printf "wrote %s@." path);
-      0
-    | exception Not_found ->
-      Format.eprintf "unknown benchmark %s@." name;
-      1
+    with_benchmark name @@ fun spec ->
+    let report =
+      Repro_core.Report.for_benchmark ~params:(params_of kappa slots) spec
+        ~algorithms:[ Flow.Initial; Flow.Peakmin; Flow.Wavemin; Flow.Wavemin_fast ]
+    in
+    (match out with
+    | None -> print_string report
+    | Some path ->
+      let oc = open_out path in
+      output_string oc report;
+      close_out oc;
+      Format.printf "wrote %s@." path);
+    0
   in
   Cmd.v
     (Cmd.info "report" ~doc:"Markdown comparison report for a benchmark")
@@ -766,19 +743,7 @@ let validate_cmd =
   in
   let run name all kappa slots =
     let params = params_of kappa slots in
-    let specs =
-      match (if all then None else name) with
-      | None -> Ok Benchmarks.all
-      | Some n -> (
-        match Benchmarks.find n with
-        | spec -> Ok [ spec ]
-        | exception Not_found -> Error n)
-    in
-    match specs with
-    | Error n ->
-      Format.eprintf "unknown benchmark %s@." n;
-      1
-    | Ok specs ->
+    let validate specs =
       let bad = ref 0 in
       List.iter
         (fun spec ->
@@ -802,6 +767,10 @@ let validate_cmd =
               ds)
         specs;
       if !bad = 0 then 0 else 2
+    in
+    match (if all then None else name) with
+    | None -> validate Benchmarks.all
+    | Some n -> with_benchmark n (fun spec -> validate [ spec ])
   in
   Cmd.v
     (Cmd.info "validate"
@@ -812,6 +781,11 @@ let validate_cmd =
     Term.(const run $ bench_opt_arg $ all_arg $ kappa_arg $ slots_arg)
 
 (* ---- service mode ------------------------------------------------- *)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
+      really_input_string ic (in_channel_length ic))
 
 let address_arg =
   let doc =
@@ -1096,11 +1070,6 @@ let client_cmd =
        U[0.5,1.5] before each re-attempt."
     in
     Arg.(value & opt float 50.0 & info [ "retry-backoff" ] ~docv:"MS" ~doc)
-  in
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-        really_input_string ic (in_channel_length ic))
   in
   let run address_s request_s bench algo_s warm kappa slots budget_ms
       max_labels instances library_file all time deadline_ms retries
@@ -1531,11 +1500,6 @@ let explain_cmd =
        dissects."
     in
     Arg.(value & opt (some int) None & info [ "max-labels" ] ~docv:"N" ~doc)
-  in
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-        really_input_string ic (in_channel_length ic))
   in
   let render_dump dump =
     match Obs_explain.render dump with

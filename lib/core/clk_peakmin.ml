@@ -102,60 +102,42 @@ let zone_solver (ctx : Context.t) (table : Noise_table.t) ~avail =
   done;
   (choices, false)
 
-(* Class selection with the baseline's own (timing-blind) objective. *)
+(* Class selection with the baseline's own (timing-blind) objective:
+   the zone result is (choices, balance objective).  The DP is a pure
+   function of (table, avail), so the zone memo and the class cut-off
+   are exact. *)
 let optimize (ctx : Context.t) =
   Repro_obs.Trace.with_span ~name:"peakmin.optimize" @@ fun () ->
-  let best = ref None in
-  List.iter
-    (fun (cls : Context.interval_class) ->
-      let per_zone =
-        Array.map
-          (fun (table : Noise_table.t) ->
-            let avail =
-              Array.map
-                (fun row -> cls.Context.avail.(row))
-                table.Noise_table.sink_rows
-            in
-            let choices, _capped = zone_solver ctx table ~avail in
-            (table, choices))
-          ctx.Context.tables
-      in
-      let own_objective =
-        Array.fold_left
-          (fun acc (table, choices) ->
-            Float.max acc (zone_balance_objective table ~choices))
-          0.0 per_zone
-      in
-      match !best with
-      | Some (_, best_obj) when best_obj <= own_objective -> ()
-      | Some _ | None -> best := Some ((cls, per_zone), own_objective))
-    ctx.Context.classes;
-  match !best with
+  let tables = ctx.Context.tables in
+  match
+    Context.search_classes ~span:"peakmin.class"
+      ~zone_label:"peakmin.zone_solve" ~num_zones:(Array.length tables)
+      ~zone_sinks:(fun zi -> Array.length tables.(zi).Noise_table.sinks)
+      ~dof:(fun (cls : Context.interval_class) ->
+        cls.Context.degree_of_freedom)
+      ~zone_key:(fun (cls : Context.interval_class) zi ->
+        Context.zone_avail ctx cls.Context.avail tables.(zi))
+      ~solve_zone:(fun _ zi avail ->
+        let choices, _capped = zone_solver ctx tables.(zi) ~avail in
+        (choices, zone_balance_objective tables.(zi) ~choices))
+      ~peak:snd ~capped:(fun _ -> false) ctx.Context.classes
+  with
   | None ->
     raise
       (Verrors.Error
          (Context.infeasible_window ctx.Context.params
             ~stage:"clk_peakmin.optimize" (Context.Sinks ctx.Context.sinks)))
-  | Some ((cls, per_zone), _) ->
-    let assignment = ref ctx.Context.base in
-    Array.iter
-      (fun ((table : Noise_table.t), choices) ->
-        Array.iteri
-          (fun zi ci ->
-            let sink = table.Noise_table.sinks.(zi) in
-            let cell = sink.Intervals.candidates.(ci).Intervals.cell in
-            assignment :=
-              Repro_clocktree.Assignment.set_cell !assignment
-                sink.Intervals.leaf_id cell)
-          choices)
-      per_zone;
+  | Some (cls, _, per_zone) ->
+    let choices = Array.map fst per_zone in
+    (* The reported peak is the fine-grained zone estimate, so outcomes
+       compare across solvers. *)
     let zone_peaks =
-      Array.map
-        (fun (table, choices) -> Noise_table.zone_objective table ~choices)
-        per_zone
+      Array.mapi
+        (fun zi choices -> Noise_table.zone_objective tables.(zi) ~choices)
+        choices
     in
     {
-      Context.assignment = !assignment;
+      Context.assignment = Context.apply_choices ctx choices;
       interval = cls.Context.interval;
       predicted_peak_ua = Array.fold_left Float.max 0.0 zone_peaks;
       zone_peaks;

@@ -28,9 +28,13 @@ val zone_balance_objective : Noise_table.t -> choices:int array -> float
     max(positive-rail sum, negative-rail sum) of scalar peaks. *)
 
 val optimize : Context.t -> Context.outcome
-(** Full ClkPeakMin over all zones and interval classes.  Class selection
-    uses the baseline's own objective, faithfully reproducing its
-    blindness to waveform timing; the reported [predicted_peak_ua] is
-    nevertheless measured with the fine-grained zone estimate so that
-    outcomes are comparable.
-    @raise Failure when the skew bound admits no feasible interval. *)
+(** Full ClkPeakMin over all zones and interval classes, on the shared
+    class search ({!Context.search_classes}: zone fan-out, zone memo,
+    class cut-off).  Class selection uses the baseline's own objective,
+    faithfully reproducing its blindness to waveform timing; the
+    reported [predicted_peak_ua] is nevertheless measured with the
+    fine-grained zone estimate so that outcomes are comparable.  The
+    winning choices are applied with {!Context.apply_choices}, so an
+    adjustable candidate keeps its extra delay.
+    @raise Repro_util.Verrors.Error with code [Infeasible_window] when
+    the skew bound admits no feasible interval. *)

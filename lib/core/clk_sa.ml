@@ -2,10 +2,7 @@ module Cell = Repro_cell.Cell
 module Assignment = Repro_clocktree.Assignment
 module Verrors = Repro_util.Verrors
 module Rng = Repro_util.Rng
-module Flight = Repro_obs.Flight
-module Obs_clock = Repro_obs.Clock
 module Trace = Repro_obs.Trace
-module Par = Repro_par.Par
 module Anneal = Repro_sa.Anneal
 module Eval = Repro_sa.Eval
 
@@ -119,92 +116,60 @@ let optimize_stats ?(config = default_config) ?warm (ctx : Context.t) =
   let classes =
     List.filteri (fun i _ -> i < config.max_classes) ctx.Context.classes
   in
-  if classes = [] then
+  let tables = ctx.Context.tables in
+  let nzones = Array.length tables in
+  (* One stats slot per (class, zone), each written by its own task and
+     folded in index order after the search: deterministic at any job
+     count. *)
+  let slots = Array.make (List.length classes * nzones) Anneal.zero_stats in
+  let best =
+    (* The anneal's stream depends on the class index, so the memo key
+       carries it: no zone result is shared across classes and no class
+       is skipped. *)
+    Context.search_classes ~span:"clk_sa.class" ~zone_label:"clk_sa.zone_solve"
+      ~num_zones:nzones
+      ~zone_sinks:(fun zi -> Array.length tables.(zi).Noise_table.sinks)
+      ~dof:(fun (_, (cls : Context.interval_class)) ->
+        cls.Context.degree_of_freedom)
+      ~zone_key:(fun (cls_idx, (cls : Context.interval_class)) zi ->
+        (cls_idx, Context.zone_avail ctx cls.Context.avail tables.(zi)))
+      ~solve_zone:(fun _ zi (cls_idx, avail) ->
+        let table = tables.(zi) in
+        let init =
+          match warm with
+          | Some previous -> warm_init ctx table ~avail ~previous
+          | None -> cold_init table ~avail
+        in
+        (* One Rng.of_instance stream per (class, zone): bit-identical
+           randomness no matter how zones are chunked across domains. *)
+        let rng = Rng.of_instance ~seed:config.seed ((cls_idx * nzones) + zi) in
+        let choices, _obj, stats =
+          Anneal.solve ~zone:zi ~config:config.anneal (problem_of table ~avail)
+            ~tags:(tags_of table) ~init ~rng
+        in
+        slots.((cls_idx * nzones) + zi) <- stats;
+        (* Class selection uses the exact table objective, the same
+           yardstick every other solver is measured by. *)
+        (choices, Noise_table.zone_objective table ~choices))
+      ~peak:snd ~capped:(fun _ -> false)
+      (List.mapi (fun i cls -> (i, cls)) classes)
+  in
+  match best with
+  | None ->
     raise
       (Verrors.Error
          (Context.infeasible_window ctx.Context.params ~stage:"clk_sa.optimize"
-            (Context.Sinks ctx.Context.sinks)));
-  let nzones = Array.length ctx.Context.tables in
-  let best = ref None in
-  let total_stats = ref Anneal.zero_stats in
-  let total_zones = ref 0 in
-  List.iteri
-    (fun cls_idx (cls : Context.interval_class) ->
-      Trace.with_span ~name:"clk_sa.class"
-        ~attrs:
-          [ ("index", string_of_int cls_idx);
-            ("dof", string_of_int cls.Context.degree_of_freedom) ]
-      @@ fun () ->
-      (* One Rng.of_instance stream per (class, zone): bit-identical
-         randomness no matter how zones are chunked across domains. *)
-      let per_zone =
-        Par.parallel_init ~label:"clk_sa.zone_solve" nzones (fun zi ->
-            let table = ctx.Context.tables.(zi) in
-            let flight = Flight.enabled () in
-            let t0 = if flight then Obs_clock.now_ns () else 0L in
-            if flight then
-              Flight.record
-                (Flight.Zone_start
-                   { cls = cls_idx;
-                     zone = zi;
-                     sinks = Array.length table.Noise_table.sinks });
-            let avail = Context.zone_avail ctx cls.Context.avail table in
-            let init =
-              match warm with
-              | Some previous -> warm_init ctx table ~avail ~previous
-              | None -> cold_init table ~avail
-            in
-            let rng =
-              Rng.of_instance ~seed:config.seed ((cls_idx * nzones) + zi)
-            in
-            let choices, _obj, stats =
-              Anneal.solve ~zone:zi ~config:config.anneal
-                (problem_of table ~avail)
-                ~tags:(tags_of table) ~init ~rng
-            in
-            (* Class selection uses the exact table objective, the same
-               yardstick every other solver is measured by. *)
-            let peak = Noise_table.zone_objective table ~choices in
-            if flight then
-              Flight.record
-                (Flight.Zone_end
-                   { cls = cls_idx;
-                     zone = zi;
-                     peak_ua = peak;
-                     capped = false;
-                     memo = false;
-                     wall_ms =
-                       Int64.to_float (Int64.sub (Obs_clock.now_ns ()) t0)
-                       /. 1e6 });
-            (choices, peak, stats))
-      in
-      (* Sequential, index-ordered reduction: deterministic at any job
-         count. *)
-      Array.iter
-        (fun (_, _, s) ->
-          total_stats := Anneal.add_stats !total_stats s;
-          incr total_zones)
-        per_zone;
-      let peak =
-        Array.fold_left (fun acc (_, p, _) -> Float.max acc p) 0.0 per_zone
-      in
-      match !best with
-      | Some (_, best_peak, _) when best_peak <= peak -> ()
-      | Some _ | None -> best := Some (cls, peak, per_zone))
-    classes;
-  match !best with
-  | None -> assert false (* classes <> [] *)
-  | Some (cls, peak, per_zone) ->
-    let assignment =
-      Context.apply_choices ctx (Array.map (fun (c, _, _) -> c) per_zone)
-    in
+            (Context.Sinks ctx.Context.sinks)))
+  | Some ((_, cls), peak, per_zone) ->
     ( {
-        Context.assignment;
+        Context.assignment =
+          Context.apply_choices ctx (Array.map fst per_zone);
         interval = cls.Context.interval;
         predicted_peak_ua = peak;
-        zone_peaks = Array.map (fun (_, p, _) -> p) per_zone;
+        zone_peaks = Array.map snd per_zone;
         approximate = false;
       },
-      stats_of_anneal !total_zones !total_stats )
+      stats_of_anneal (Array.length slots)
+        (Array.fold_left Anneal.add_stats Anneal.zero_stats slots) )
 
 let optimize ctx = fst (optimize_stats ctx)

@@ -10,11 +10,15 @@
     stream and anneals sequentially, and the class/zone reduction is
     index-addressed.
 
-    Like ClkPeakMin it runs its own class loop (the annealer's cost
-    scales with classes, so only the top [max_classes] DoF-ranked
-    classes are explored) and reports [approximate = false]: the result
-    is a feasible assignment whose quality is whatever the anneal
-    found, not an epsilon-bounded approximation. *)
+    It runs on the shared class search ({!Context.search_classes}) over
+    the top [max_classes] DoF-ranked classes only (the annealer's cost
+    scales with classes).  Its zone memo key carries the class index
+    beside the zone availability: the anneal's stream is drawn from the
+    (class, zone) pair, so a zone result is never reused across classes
+    and no class is skipped — every (class, zone) is annealed exactly
+    as a class loop of its own would.  It reports [approximate = false]:
+    the result is a feasible assignment whose quality is whatever the
+    anneal found, not an epsilon-bounded approximation. *)
 
 module Assignment := Repro_clocktree.Assignment
 

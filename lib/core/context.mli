@@ -131,9 +131,8 @@ val apply_choices : t -> int array array -> Repro_clocktree.Assignment.t
 (** [apply_choices t per_zone_choices] materializes an assignment from
     one candidate index per sink of every zone ([per_zone_choices.(zi)]
     aligned with [t.tables.(zi).sinks]), setting the cell and — for
-    adjustable cells — the selected extra delay.  Exposed so solvers
-    with their own class loop (ClkPeakMin-style baselines, the SA
-    engine) can build outcomes without going through {!solve_with}. *)
+    adjustable cells — the selected extra delay.  Every single-mode
+    solver applies its winning class's choices through it. *)
 
 val solve_with :
   t ->
@@ -171,8 +170,9 @@ val search_classes :
   capped:('r -> bool) ->
   'c list ->
   ('c * float * 'r array) option
-(** The class loop behind {!solve_with} and ClkWaveMin-M
-    ([Multimode.solve]): solve every zone of every class, in list
+(** The class loop behind every solver: {!solve_with} (ClkWaveMin,
+    ClkWaveMin-f), ClkPeakMin, ClkSA and ClkWaveMin-M
+    ([Multimode.solve]).  Solve every zone of every class, in list
     order, and return the first class with the least peak (the max of
     its zones' [peak]s), its peak and its per-zone results; [None] for
     no classes.

@@ -4,8 +4,8 @@
     optional wall-clock deadline and an optional cap on the total number
     of MOSP labels extended ({!Repro_mosp.Warburton} charges per row).
     The label cap bounds work actually done: a zone result reused from
-    the class loop's zone memo ([Context.solve_with]) and a class its
-    cut-off skips charge no labels.
+    the class loop's zone memo ([Context.search_classes]) and a class
+    its cut-off skips charge no labels.
     Checks are cooperative: hot loops call {!check} (or the ambient
     {!check_current}) at natural yield points — every Warburton row,
     every {!Repro_par.Par} task — and the first check past the limit

@@ -384,40 +384,49 @@ let small_tree () =
 let params =
   { Context.default_params with Context.num_slots = 24; max_interval_classes = 6 }
 
-let solve_small () =
+let solve_small ?(algorithm = Flow.Wavemin) () =
   match
     Flow.run (Flow.prepare ~params ~name:"obs" (small_tree ()))
-      (Flow.Single Flow.Wavemin)
+      (Flow.Single algorithm)
   with
   | Ok r -> r
   | Error (e, _) -> Alcotest.fail (Repro_util.Verrors.to_string e)
 
+(* Every solver, each on its own zone fan-out of the shared class
+   search, gives the same result traced and untraced. *)
 let test_tracing_does_not_change_results () =
-  let run = solve_small in
-  Trace.set_enabled false;
-  Metrics.reset ();
-  let plain = run () in
-  (* observed run: tracing on, metrics live, logging sources active *)
-  let observed = with_tracing run in
-  Alcotest.(check bool) "spans were recorded" true
-    (List.length (Trace.spans ()) > 0);
-  Alcotest.(check (float 0.0)) "peak current bit-identical"
-    plain.Flow.metrics.Golden.peak_current_ma
-    observed.Flow.metrics.Golden.peak_current_ma;
-  Alcotest.(check (float 0.0)) "VDD noise bit-identical"
-    plain.Flow.metrics.Golden.vdd_noise_mv
-    observed.Flow.metrics.Golden.vdd_noise_mv;
-  Alcotest.(check (float 0.0)) "GND noise bit-identical"
-    plain.Flow.metrics.Golden.gnd_noise_mv
-    observed.Flow.metrics.Golden.gnd_noise_mv;
-  Alcotest.(check (float 0.0)) "skew bit-identical"
-    plain.Flow.metrics.Golden.skew_ps observed.Flow.metrics.Golden.skew_ps;
-  Alcotest.(check (float 0.0)) "predicted peak bit-identical"
-    plain.Flow.predicted_peak_ua observed.Flow.predicted_peak_ua;
-  Alcotest.(check int) "leaf inverters identical"
-    plain.Flow.num_leaf_inverters observed.Flow.num_leaf_inverters;
-  Alcotest.(check bool) "approximate flag identical"
-    plain.Flow.approximate observed.Flow.approximate
+  List.iter
+    (fun (algorithm, zone_span) ->
+      let run () = solve_small ~algorithm () in
+      Trace.set_enabled false;
+      Metrics.reset ();
+      let plain = run () in
+      (* observed run: tracing on, metrics live, logging sources active *)
+      let observed = with_tracing run in
+      Alcotest.(check bool) "spans were recorded" true
+        (List.length (Trace.spans ()) > 0);
+      Alcotest.(check (float 0.0)) "peak current bit-identical"
+        plain.Flow.metrics.Golden.peak_current_ma
+        observed.Flow.metrics.Golden.peak_current_ma;
+      Alcotest.(check (float 0.0)) "VDD noise bit-identical"
+        plain.Flow.metrics.Golden.vdd_noise_mv
+        observed.Flow.metrics.Golden.vdd_noise_mv;
+      Alcotest.(check (float 0.0)) "GND noise bit-identical"
+        plain.Flow.metrics.Golden.gnd_noise_mv
+        observed.Flow.metrics.Golden.gnd_noise_mv;
+      Alcotest.(check (float 0.0)) "skew bit-identical"
+        plain.Flow.metrics.Golden.skew_ps observed.Flow.metrics.Golden.skew_ps;
+      Alcotest.(check (float 0.0)) "predicted peak bit-identical"
+        plain.Flow.predicted_peak_ua observed.Flow.predicted_peak_ua;
+      Alcotest.(check int) "leaf inverters identical"
+        plain.Flow.num_leaf_inverters observed.Flow.num_leaf_inverters;
+      Alcotest.(check bool) "approximate flag identical"
+        plain.Flow.approximate observed.Flow.approximate;
+      Alcotest.(check bool) (zone_span ^ " spans recorded") true
+        (List.exists (fun s -> s.Trace.name = zone_span) (Trace.spans ())))
+    [ (Flow.Wavemin, "context.zone_solve");
+      (Flow.Peakmin, "peakmin.zone_solve");
+      (Flow.Sa, "clk_sa.zone_solve") ]
 
 let test_pipeline_metrics_populated () =
   Metrics.reset ();

@@ -1677,16 +1677,49 @@ let test_server_flight_forensics () =
             Alcotest.(check bool) "offline report has the fallback" true
               (contains_sub report "fallback"))))
 
+(* The shared class search brackets every zone it solves or reuses
+   with one Zone_start/Zone_end pair and records one Class_skip per
+   class its cut-off rules out; every class is one or the other. *)
+let check_class_search name events =
+  let starts, ends, skips =
+    List.fold_left
+      (fun (starts, ends, skips) (e : Flight.event) ->
+        match e.Flight.kind with
+        | Flight.Zone_start { cls; zone; _ } ->
+          ((cls, zone) :: starts, ends, skips)
+        | Flight.Zone_end { cls; zone; _ } ->
+          (starts, (cls, zone) :: ends, skips)
+        | Flight.Class_skip { cls; _ } -> (starts, ends, cls :: skips)
+        | _ -> (starts, ends, skips))
+      ([], [], []) events
+  in
+  let zones = 1 + List.fold_left (fun acc (_, z) -> max acc z) (-1) starts in
+  let solved = List.sort_uniq compare (List.map fst starts) in
+  let want =
+    List.concat_map (fun cls -> List.init zones (fun z -> (cls, z))) solved
+  in
+  Alcotest.(check (list (pair int int)))
+    (name ^ ": one zone-start per zone of each solved class") want
+    (List.sort compare starts);
+  Alcotest.(check (list (pair int int)))
+    (name ^ ": one zone-end per zone of each solved class") want
+    (List.sort compare ends);
+  Alcotest.(check (list int))
+    (name ^ ": every class solved or skipped, once")
+    (List.init (List.length solved + List.length skips) Fun.id)
+    (List.sort compare (solved @ skips));
+  skips
+
 let test_flight_recorder_never_influences () =
   (* The byte-identity contract with the recorder specifically: the
      same request executes identically with recording off and on,
      while the enabled run actually fills the ring.  One request is
-     degraded; clean ClkWaveMin on s15850 takes both class-loop
-     shortcuts, a zone memo hit and a skipped class. *)
-  let clean =
+     degraded; clean ClkWaveMin and ClkPeakMin on s15850 take both
+     class-loop shortcuts, a zone memo hit and a skipped class. *)
+  let run algorithm =
     Protocol.Run
-      { opts = Protocol.default_opts ~benchmark:"s15850";
-        algorithm = Flow.Wavemin; warm = false }
+      { opts = Protocol.default_opts ~benchmark:"s15850"; algorithm;
+        warm = false }
   in
   let degraded =
     Protocol.Run { opts = degraded_run_opts; algorithm = Flow.Wavemin; warm = false }
@@ -1695,25 +1728,44 @@ let test_flight_recorder_never_influences () =
     | Ok body -> "ok:" ^ Json.to_string body
     | Error (e, _) -> "err:" ^ Json.to_string (Verrors.to_json e)
   in
+  let recorded req =
+    Flight.set_enabled false;
+    let off = render (Handlers.execute (Session.create ()) req) in
+    Flight.set_enabled true;
+    Flight.clear ();
+    let on = render (Handlers.execute (Session.create ()) req) in
+    let recorded = Flight.recorded () in
+    Alcotest.(check string) "byte-identical with recorder on" off on;
+    Alcotest.(check bool) "recorder saw the solve" true (recorded > 0);
+    Flight.events ()
+  in
+  let saw p = List.exists (fun (e : Flight.event) -> p e.Flight.kind) in
+  let memo_hit = function Flight.Zone_end { memo; _ } -> memo | _ -> false in
   let was_enabled = Flight.enabled () in
   Fun.protect
     ~finally:(fun () -> Flight.set_enabled was_enabled)
     (fun () ->
-      List.iter
-        (fun req ->
-          Flight.set_enabled false;
-          let off = render (Handlers.execute (Session.create ()) req) in
-          Flight.set_enabled true;
-          Flight.clear ();
-          let on = render (Handlers.execute (Session.create ()) req) in
-          let recorded = Flight.recorded () in
-          Alcotest.(check string) "byte-identical with recorder on" off on;
-          Alcotest.(check bool) "recorder saw the solve" true (recorded > 0))
-        [ degraded; clean ];
-      let saw p = List.exists (fun (e : Flight.event) -> p e.Flight.kind) in
-      let events = Flight.events () in
-      Alcotest.(check bool) "a memo hit was recorded" true
-        (saw (function Flight.Zone_end { memo; _ } -> memo | _ -> false) events);
+      ignore (recorded degraded);
+      (* ClkSA's memo key carries the class index: nothing is reused or
+         skipped. *)
+      let sa = recorded (run Flow.Sa) in
+      Alcotest.(check (list int)) "sa skips no class" []
+        (check_class_search "sa" sa);
+      Alcotest.(check bool) "sa reuses no zone" false (saw memo_hit sa);
+      let peakmin = recorded (run Flow.Peakmin) in
+      Alcotest.(check bool) "peakmin skips a class" true
+        (check_class_search "peakmin" peakmin <> []);
+      Alcotest.(check bool) "peakmin reuses a zone" true (saw memo_hit peakmin);
+      (match Explain.render (Flight.to_json ()) with
+      | Error msg -> Alcotest.failf "peakmin dump unrenderable: %s" msg
+      | Ok report ->
+        List.iter
+          (fun needle ->
+            Alcotest.(check bool) ("peakmin report mentions " ^ needle) true
+              (contains_sub report needle))
+          [ "ClkPeakMin"; "zone memo"; "classes skipped by the cut-off" ]);
+      let events = recorded (run Flow.Wavemin) in
+      Alcotest.(check bool) "a memo hit was recorded" true (saw memo_hit events);
       Alcotest.(check bool) "a skipped class was recorded" true
         (saw (function Flight.Class_skip _ -> true | _ -> false) events))
 

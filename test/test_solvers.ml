@@ -22,6 +22,11 @@ let tree ?(seed = 515) ?(leaves = 16) ?(internals = 5) () =
 
 let cells = Flow.leaf_library ()
 
+(* Two drive-8 fixed cells plus their adjustable twins: every leaf gets
+   delay-step candidates, so a solver that drops the extra delay of its
+   choice returns a different assignment. *)
+let adb_cells = [ Library.buf 8; Library.inv 8; Library.adb 8; Library.adi 8 ]
+
 let small_params =
   { Context.default_params with Context.num_slots = 24; max_interval_classes = 6 }
 
@@ -470,67 +475,274 @@ let prop_solve_with_matches_reference =
     (fun (seed, leaves, kappa, max_labels) ->
       let t = tree ~seed ~leaves ~internals:4 () in
       let params = { small_params with Context.kappa; max_labels } in
-      let ctx = Context.create ~params t ~cells in
-      (not (Context.feasible ctx))
-      || List.for_all
-           (fun zone_solver ->
-             let want, class_peaks = reference_solve ctx ~zone_solver in
-             let want = Option.get want in
-             List.for_all
-               (fun jobs ->
-                 let calls, wrapped = counting ctx zone_solver in
-                 let was_enabled = Flight.enabled ()
-                 and capacity = Flight.capacity () in
-                 Flight.set_capacity 100_000;
-                 Flight.set_enabled true;
-                 let got =
-                   Fun.protect
-                     ~finally:(fun () ->
-                       Flight.set_enabled was_enabled;
-                       Flight.set_capacity capacity)
-                     (fun () ->
-                       let got =
-                         Repro_par.Par.with_jobs jobs (fun () ->
-                             Context.solve_with ctx ~zone_solver:wrapped)
-                       in
-                       (got, Flight.events ()))
-                 in
-                 let got, events = got in
-                 let skips =
-                   List.filter_map
-                     (fun (e : Flight.event) ->
-                       match e.Flight.kind with
-                       | Flight.Class_skip { cls; peak_ua; best_ua; _ } ->
-                         Some (cls, peak_ua, best_ua)
-                       | _ -> None)
-                     events
-                 in
-                 (* Every zone graph of the classes not skipped, each
-                    solved exactly once. *)
-                 let expected = Hashtbl.create 64 in
-                 List.iteri
-                   (fun ci (cls : Context.interval_class) ->
-                     if not (List.exists (fun (c, _, _) -> c = ci) skips) then
-                       Array.iteri
-                         (fun zi table ->
-                           Hashtbl.replace expected
-                             (zi, Context.zone_avail ctx cls.Context.avail table)
-                             ())
-                         ctx.Context.tables)
-                   ctx.Context.classes;
-                 same_outcome t want got
-                 && Hashtbl.length calls = Hashtbl.length expected
-                 && Hashtbl.fold
-                      (fun key n ok -> ok && n = 1 && Hashtbl.mem expected key)
-                      calls true
-                 (* A skip names a zone peak that bounds the class's
-                    own peak and already loses to the incumbent. *)
-                 && List.for_all
-                      (fun (cls, peak, best) ->
-                        best <= peak && peak <= class_peaks.(cls))
-                      skips)
-               [ 1; 2; 4 ])
-           [ Clk_wavemin.zone_solver; Clk_wavemin_f.zone_solver ])
+      List.for_all
+        (fun cells ->
+          let ctx = Context.create ~params t ~cells in
+          (not (Context.feasible ctx))
+          || List.for_all
+               (fun zone_solver ->
+                 let want, class_peaks = reference_solve ctx ~zone_solver in
+                 let want = Option.get want in
+                 List.for_all
+                   (fun jobs ->
+                     let calls, wrapped = counting ctx zone_solver in
+                     let was_enabled = Flight.enabled ()
+                     and capacity = Flight.capacity () in
+                     Flight.set_capacity 100_000;
+                     Flight.set_enabled true;
+                     let got =
+                       Fun.protect
+                         ~finally:(fun () ->
+                           Flight.set_enabled was_enabled;
+                           Flight.set_capacity capacity)
+                         (fun () ->
+                           let got =
+                             Repro_par.Par.with_jobs jobs (fun () ->
+                                 Context.solve_with ctx ~zone_solver:wrapped)
+                           in
+                           (got, Flight.events ()))
+                     in
+                     let got, events = got in
+                     let skips =
+                       List.filter_map
+                         (fun (e : Flight.event) ->
+                           match e.Flight.kind with
+                           | Flight.Class_skip { cls; peak_ua; best_ua; _ } ->
+                             Some (cls, peak_ua, best_ua)
+                           | _ -> None)
+                         events
+                     in
+                     (* Every zone graph of the classes not skipped, each
+                        solved exactly once. *)
+                     let expected = Hashtbl.create 64 in
+                     List.iteri
+                       (fun ci (cls : Context.interval_class) ->
+                         if not (List.exists (fun (c, _, _) -> c = ci) skips) then
+                           Array.iteri
+                             (fun zi table ->
+                               Hashtbl.replace expected
+                                 (zi, Context.zone_avail ctx cls.Context.avail table)
+                                 ())
+                             ctx.Context.tables)
+                       ctx.Context.classes;
+                     same_outcome t want got
+                     && Hashtbl.length calls = Hashtbl.length expected
+                     && Hashtbl.fold
+                          (fun key n ok -> ok && n = 1 && Hashtbl.mem expected key)
+                          calls true
+                     (* A skip names a zone peak that bounds the class's
+                        own peak and already loses to the incumbent. *)
+                     && List.for_all
+                          (fun (cls, peak, best) ->
+                            best <= peak && peak <= class_peaks.(cls))
+                          skips)
+                   [ 1; 2; 4 ])
+               [ Clk_wavemin.zone_solver; Clk_wavemin_f.zone_solver ])
+        [ cells; adb_cells ])
+
+(* ------------------------------------------------------------------ *)
+(* ClkPeakMin and ClkSA on the shared class search                     *)
+
+module Clk_sa = Repro_core.Clk_sa
+module Anneal = Repro_sa.Anneal
+
+(* The class loop ClkPeakMin kept before it ran on the shared search:
+   every zone of every class, no memo, the class chosen by the balance
+   objective (earlier wins a tie), the winner applied with
+   [Context.apply_choices]. *)
+let reference_peakmin (ctx : Context.t) =
+  let tables = ctx.Context.tables in
+  let best = ref None in
+  List.iter
+    (fun (cls : Context.interval_class) ->
+      let choices =
+        Array.map
+          (fun table ->
+            fst
+              (Clk_peakmin.zone_solver ctx table
+                 ~avail:(Context.zone_avail ctx cls.Context.avail table)))
+          tables
+      in
+      let own =
+        Array.fold_left Float.max 0.0
+          (Array.map2
+             (fun table choices ->
+               Clk_peakmin.zone_balance_objective table ~choices)
+             tables choices)
+      in
+      match !best with
+      | Some (_, _, best_own) when best_own <= own -> ()
+      | Some _ | None -> best := Some (cls, choices, own))
+    ctx.Context.classes;
+  Option.map
+    (fun ((cls : Context.interval_class), choices, _) ->
+      let zone_peaks =
+        Array.map2
+          (fun table choices -> Noise_table.zone_objective table ~choices)
+          tables choices
+      in
+      {
+        Context.assignment = Context.apply_choices ctx choices;
+        interval = cls.Context.interval;
+        predicted_peak_ua = Array.fold_left Float.max 0.0 zone_peaks;
+        zone_peaks;
+        approximate = false;
+      })
+    !best
+
+(* ClkSA's own per-(class, zone) anneal loop, kept as the reference:
+   the top [max_classes] classes, a cold start at each sink's first
+   admitted candidate, stream [(class * zones) + zone], stats summed in
+   (class, zone) order. *)
+let reference_sa (ctx : Context.t) =
+  let config = Clk_sa.default_config in
+  let nzones = Array.length ctx.Context.tables in
+  let classes =
+    List.filteri (fun i _ -> i < config.Clk_sa.max_classes) ctx.Context.classes
+  in
+  let best = ref None and total = ref Anneal.zero_stats in
+  List.iteri
+    (fun cls_idx (cls : Context.interval_class) ->
+      let per_zone =
+        Array.mapi
+          (fun zi (table : Noise_table.t) ->
+            let avail = Context.zone_avail ctx cls.Context.avail table in
+            let tags =
+              Array.map
+                (fun (sink : Intervals.sink) ->
+                  Array.map
+                    (fun (c : Intervals.candidate) ->
+                      {
+                        Anneal.group =
+                          (match Cell.polarity c.Intervals.cell with
+                          | Cell.Positive -> 0
+                          | Cell.Negative -> 1);
+                        size =
+                          (float_of_int c.Intervals.cell.Cell.drive *. 1e6)
+                          +. c.Intervals.extra;
+                      })
+                    sink.Intervals.candidates)
+                table.Noise_table.sinks
+            in
+            let init =
+              Array.map
+                (fun row ->
+                  let rec first i = if row.(i) then i else first (i + 1) in
+                  first 0)
+                avail
+            in
+            let choices, _, stats =
+              Anneal.solve ~zone:zi ~config:config.Clk_sa.anneal
+                {
+                  Repro_sa.Eval.rows = table.Noise_table.noise;
+                  base = table.Noise_table.nonleaf;
+                  avail;
+                }
+                ~tags ~init
+                ~rng:
+                  (Rng.of_instance ~seed:config.Clk_sa.seed
+                     ((cls_idx * nzones) + zi))
+            in
+            total := Anneal.add_stats !total stats;
+            (choices, Noise_table.zone_objective table ~choices))
+          ctx.Context.tables
+      in
+      let peak =
+        Array.fold_left (fun acc (_, p) -> Float.max acc p) 0.0 per_zone
+      in
+      match !best with
+      | Some (_, best_peak, _) when best_peak <= peak -> ()
+      | Some _ | None -> best := Some (cls, peak, per_zone))
+    classes;
+  let t = !total in
+  ( Option.map
+      (fun ((cls : Context.interval_class), peak, per_zone) ->
+        {
+          Context.assignment =
+            Context.apply_choices ctx (Array.map fst per_zone);
+          interval = cls.Context.interval;
+          predicted_peak_ua = peak;
+          zone_peaks = Array.map snd per_zone;
+          approximate = false;
+        })
+      !best,
+    {
+      Clk_sa.zones = List.length classes * nzones;
+      proposed = t.Anneal.proposed;
+      accepted = t.Anneal.accepted;
+      rejected = t.Anneal.rejected;
+      flips = t.Anneal.flips;
+      resizes = t.Anneal.resizes;
+      pairs = t.Anneal.pairs;
+      restarts = t.Anneal.restarts_done;
+    } )
+
+let prop_peakmin_sa_match_reference =
+  QCheck.Test.make ~count:8
+    ~name:"peakmin, sa == their own class loops at jobs 1/2/4"
+    QCheck.(
+      triple (int_range 1 10000) (int_range 6 24) (oneofl [ 12.0; 20.0; 30.0 ]))
+    (fun (seed, leaves, kappa) ->
+      let t = tree ~seed ~leaves ~internals:4 () in
+      let params = { small_params with Context.kappa } in
+      List.for_all
+        (fun cells ->
+          let ctx = Context.create ~params t ~cells in
+          (not (Context.feasible ctx))
+          ||
+          let peakmin = Option.get (reference_peakmin ctx) in
+          let sa, sa_stats = reference_sa ctx in
+          let sa = Option.get sa in
+          List.for_all
+            (fun jobs ->
+              Repro_par.Par.with_jobs jobs (fun () ->
+                  let got_sa, got_stats = Clk_sa.optimize_stats ctx in
+                  same_outcome t peakmin (Clk_peakmin.optimize ctx)
+                  && same_outcome t sa got_sa
+                  && got_stats = sa_stats))
+            [ 1; 2; 4 ])
+        [ cells; adb_cells ])
+
+(* ClkPeakMin used to apply only the chosen cell, dropping the delay
+   step of every adjustable candidate it picked.  Re-solve the winning
+   class's zones with the exposed zone solver (a pure function of
+   (table, avail)) and check each leaf carries its choice's cell and
+   extra delay. *)
+let test_peakmin_applies_extra_delay () =
+  let ctx = Context.create ~params:small_params (tree ()) ~cells:adb_cells in
+  let o = Clk_peakmin.optimize ctx in
+  let cls =
+    List.find
+      (fun (c : Context.interval_class) ->
+        c.Context.interval = o.Context.interval)
+      ctx.Context.classes
+  in
+  let stepped = ref 0 in
+  Array.iter
+    (fun (table : Noise_table.t) ->
+      let choices, _ =
+        Clk_peakmin.zone_solver ctx table
+          ~avail:(Context.zone_avail ctx cls.Context.avail table)
+      in
+      Array.iteri
+        (fun i ci ->
+          let sink = table.Noise_table.sinks.(i) in
+          let cand = sink.Intervals.candidates.(ci) in
+          let leaf = sink.Intervals.leaf_id in
+          Alcotest.(check bool) "chosen cell" true
+            (Cell.equal cand.Intervals.cell
+               (Assignment.cell o.Context.assignment leaf));
+          if Cell.is_adjustable cand.Intervals.cell then begin
+            if cand.Intervals.extra <> 0.0 then incr stepped;
+            Alcotest.(check (float 0.0))
+              (Printf.sprintf "leaf %d extra delay" leaf)
+              cand.Intervals.extra
+              (Assignment.extra_delay o.Context.assignment ~mode:0 leaf)
+          end)
+        choices)
+    ctx.Context.tables;
+  Alcotest.(check bool) "some chosen candidate has a delay step" true
+    (!stepped > 0)
 
 let () =
   Alcotest.run "repro_core_solvers"
@@ -562,6 +774,8 @@ let () =
           Alcotest.test_case "choices available" `Quick test_zone_choices_are_available;
           Alcotest.test_case "peakmin balances" `Quick test_peakmin_balances_rails;
           Alcotest.test_case "peakmin objective" `Quick test_peakmin_balance_objective;
+          Alcotest.test_case "peakmin applies extra delay" `Quick
+            test_peakmin_applies_extra_delay;
           Alcotest.test_case "mosp rejects empty row" `Quick
             test_mosp_encoding_rejects_empty_row;
           Alcotest.test_case "mosp structure (Algorithm 1)" `Quick
@@ -579,6 +793,7 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_all_solvers_respect_kappa; prop_solve_with_matches_reference ]
+          [ prop_all_solvers_respect_kappa; prop_solve_with_matches_reference;
+            prop_peakmin_sa_match_reference ]
       );
     ]
