@@ -98,8 +98,10 @@ let kernel_tests ctx =
 
 (* The annealer's core claim, measured: one move evaluated incrementally
    (subtract the old candidate row, add the new one, peak over slots —
-   then an O(1) discard) versus the full zone objective re-summed from
-   scratch.  Both walk the same cyclic move schedule. *)
+   then an O(1) discard), the same move decided by the fused Metropolis
+   scan (which stops at a slot that proves the rejection), and the full
+   zone objective re-summed from scratch.  All walk the same cyclic move
+   schedule. *)
 let sa_eval_tests table avail =
   let module Eval = Repro_sa.Eval in
   let test name f = Test.make ~name (Staged.stage f) in
@@ -132,8 +134,29 @@ let sa_eval_tests table avail =
         (s, c))
   in
   let choices = Array.copy init in
-  let i = ref 0 and j = ref 0 in
+  let i = ref 0 and j = ref 0 and d = ref 0 in
   let sites = [| 0 |] and cands = [| 0 |] in
+  (* The annealer's T0 calibration over this move schedule (a mean
+     uphill move accepted with probability 0.8), cooled by 1/20, about
+     60 stages of its 0.95 cooling: a mid-anneal temperature. *)
+  let temp =
+    let cur = Eval.objective ev and sum = ref 0.0 and count = ref 0 in
+    Array.iter
+      (fun (s, c) ->
+        sites.(0) <- s;
+        cands.(0) <- c;
+        Eval.propose ev ~sites ~cands;
+        Eval.discard ev;
+        let delta = (Eval.score ev).Eval.proposed -. cur in
+        if delta > 0.0 then begin
+          sum := !sum +. delta;
+          incr count
+        end)
+      moves;
+    if !count = 0 then 1e-3
+    else !sum /. float_of_int !count /. -.log 0.8 /. 20.0
+  in
+  let draws = Repro_util.Rng.create ~seed:13 in
   Test.make_grouped ~name:"sa-eval"
     [ test "delta eval per move (propose+discard)" (fun () ->
           let s, c = moves.(!i land 255) in
@@ -141,6 +164,16 @@ let sa_eval_tests table avail =
           sites.(0) <- s;
           cands.(0) <- c;
           Eval.propose ev ~sites ~cands;
+          Eval.discard ev);
+      (* The same moves, each proposed and decided in one call; an
+         accepted one is discarded too, so every move sees the same
+         committed state. *)
+      test "decide per move (propose_metropolis+discard)" (fun () ->
+          let s, c = moves.(!d land 255) in
+          incr d;
+          sites.(0) <- s;
+          cands.(0) <- c;
+          ignore (Eval.propose_metropolis ev ~sites ~cands ~temp ~rng:draws);
           Eval.discard ev);
       test "full zone_objective per move" (fun () ->
           let s, c = moves.(!j land 255) in

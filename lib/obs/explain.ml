@@ -21,12 +21,17 @@ type zone_agg = {
   mutable z_extended : int;
   mutable z_pruned : int;
   mutable z_capped_labels : int;
+  mutable z_objective : string;  (* what [z_peak] measures: see [objective_name] *)
   mutable z_peak : float;
   mutable z_capped : bool;
   mutable z_memo : bool;
   mutable z_wall_ms : float;
   mutable z_closed : bool;
 }
+
+(* The name of the zone value a solver reports as [peak_ua]: ClkPeakMin
+   minimizes its polarity-balance objective, not the zone peak. *)
+let objective_name = function "ClkPeakMin" -> "balance" | _ -> "peak"
 
 let render doc =
   match (str "schema" doc, int_f "version" doc, Json.member "events" doc) with
@@ -70,15 +75,18 @@ let render doc =
       let sa = Hashtbl.create 16 in
       let sa_order = ref [] in
       let unknown = Hashtbl.create 4 in
+      (* The algorithm of the enclosing solve-start. *)
+      let algorithm = ref "?" in
       List.iter
         (fun e ->
           let t_ms = num_or 0.0 "t_ms" e in
           let domain = int_or 0 "domain" e in
           match str_or "?" "kind" e with
           | "solve-start" ->
+            algorithm := str_or "?" "algorithm" e;
             tl "  %8.1f ms  %s: start (algorithm %s)\n" t_ms
               (str_or "?" "benchmark" e)
-              (str_or "?" "algorithm" e)
+              !algorithm
           | "solve-end" ->
             let ok = bool_or false "ok" e in
             tl "  %8.1f ms  %s: %s after %.1f ms (algorithm %s)\n" t_ms
@@ -104,6 +112,7 @@ let render doc =
               let z =
                 { z_cls = cls; z_zone = zone;
                   z_sinks = int_or 0 "sinks" e; z_rows = [];
+                  z_objective = "peak";
                   z_extended = 0; z_pruned = 0; z_capped_labels = 0;
                   z_peak = 0.0; z_capped = false; z_memo = false;
                   z_wall_ms = 0.0;
@@ -131,13 +140,15 @@ let render doc =
             | None -> ()
             | Some z ->
               z.z_peak <- num_or 0.0 "peak_ua" e;
+              z.z_objective <- objective_name !algorithm;
               z.z_capped <- bool_or false "capped" e;
               z.z_memo <- bool_or false "memo" e;
               z.z_wall_ms <- num_or 0.0 "wall_ms" e;
               z.z_closed <- true)
           | "class-skip" ->
             class_skips :=
-              ( int_or 0 "class" e,
+              ( objective_name !algorithm,
+                int_or 0 "class" e,
                 int_or 0 "zone" e,
                 num_or 0.0 "peak_ua" e,
                 num_or 0.0 "best_ua" e )
@@ -254,8 +265,8 @@ let render doc =
         List.iteri
           (fun i z ->
             if i < show then
-              pr "  class %d zone %-4d %8.1f ms  %d sinks, peak %.1f uA%s\n"
-                z.z_cls z.z_zone z.z_wall_ms z.z_sinks z.z_peak
+              pr "  class %d zone %-4d %8.1f ms  %d sinks, %s %.1f uA%s\n"
+                z.z_cls z.z_zone z.z_wall_ms z.z_sinks z.z_objective z.z_peak
                 ((if z.z_memo then ", memo hit" else "")
                 ^
                 if z.z_capped then ", label-capped"
@@ -312,10 +323,10 @@ let render doc =
       | skips ->
         pr "\nclasses skipped by the cut-off (%d):\n" (List.length skips);
         List.iter
-          (fun (cls, zone, peak, best) ->
-            pr "  class %d: zone %d memoized peak %.1f uA >= best class \
-                peak %.1f uA\n"
-              cls zone peak best)
+          (fun (objective, cls, zone, peak, best) ->
+            pr "  class %d: zone %d memoized %s %.1f uA >= best class \
+                %s %.1f uA\n"
+              cls zone objective peak objective best)
           skips);
 
       (match List.rev !budget_trips with

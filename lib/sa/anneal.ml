@@ -166,9 +166,6 @@ let gen_resize rng (m : site_moves) ~current ~dist =
 (* ------------------------------------------------------------------ *)
 (* The annealing loop                                                  *)
 
-let[@inline] metropolis rng ~temp ~delta =
-  delta <= 0.0 || Rng.float rng ~bound:1.0 < exp (-.delta /. temp)
-
 let solve ?(zone = 0) ~config problem ~tags ~init ~rng =
   let eval = Eval.create ~refresh_every:config.refresh_every problem ~init in
   let n = Eval.num_sites eval in
@@ -203,14 +200,16 @@ let solve ?(zone = 0) ~config problem ~tags ~init ~rng =
       (* Move buffers, reused by every proposal. *)
       let sites1 = [| 0 |] and cands1 = [| 0 |] in
       let sites2 = [| 0; 0 |] and cands2 = [| 0; 0 |] in
-      let propose1 s c =
+      let move1 s c =
         sites1.(0) <- s;
-        cands1.(0) <- c;
+        cands1.(0) <- c
+      in
+      let propose1 s c =
+        move1 s c;
         Eval.propose eval ~sites:sites1 ~cands:cands1
       in
-      (* Generate one proposal and return its move kind tag (0 flip,
-         1 resize, 2 pair); the proposed objective is in [score]. *)
-      let score = Eval.score eval in
+      (* Generate one move into the buffers and return its kind tag
+         (0 flip, 1 resize: [sites1]/[cands1]; 2 pair: [sites2]/[cands2]). *)
       let generate ~dist =
         let s = pick_site () in
         let current = Eval.choice eval s in
@@ -220,11 +219,11 @@ let solve ?(zone = 0) ~config problem ~tags ~init ~rng =
           let c = gen_resize rng moves.(s) ~current ~dist in
           if c = current then begin
             (* Single-member bucket: fall back to a flip. *)
-            propose1 s (gen_flip rng moves.(s) ~current);
+            move1 s (gen_flip rng moves.(s) ~current);
             0
           end
           else begin
-            propose1 s c;
+            move1 s c;
             1
           end
         | 2 when Array.length movable > 1 ->
@@ -247,20 +246,20 @@ let solve ?(zone = 0) ~config problem ~tags ~init ~rng =
           cands2.(0) <- c1;
           sites2.(1) <- s2;
           cands2.(1) <- c2;
-          Eval.propose eval ~sites:sites2 ~cands:cands2;
           2
         | _ ->
           let c = gen_flip rng moves.(s) ~current in
           if c = current then begin
             (* Single-bucket site: resize instead. *)
-            propose1 s (gen_resize rng moves.(s) ~current ~dist);
+            move1 s (gen_resize rng moves.(s) ~current ~dist);
             1
           end
           else begin
-            propose1 s c;
+            move1 s c;
             0
           end
       in
+      let score = Eval.score eval in
       (* Calibrate T0 from probe proposals (all discarded): hot enough
          that a mean uphill move is accepted with probability ~0.8. *)
       let init_temp =
@@ -270,7 +269,9 @@ let solve ?(zone = 0) ~config problem ~tags ~init ~rng =
           let sum = ref 0.0 and count = ref 0 in
           let cur = Eval.objective eval in
           for _ = 1 to config.warmup do
-            ignore (generate ~dist:max_bucket);
+            if generate ~dist:max_bucket = 2 then
+              Eval.propose eval ~sites:sites2 ~cands:cands2
+            else Eval.propose eval ~sites:sites1 ~cands:cands1;
             Eval.discard eval;
             let d = score.proposed -. cur in
             if d > 0.0 then begin
@@ -301,16 +302,23 @@ let solve ?(zone = 0) ~config problem ~tags ~init ~rng =
           incr stage;
           incr stages;
           let stage_accepted = ref 0 in
+          (* The schedule moves only between stages. *)
+          let temp = Schedule.temperature sched and dist = Schedule.distance sched in
           for _ = 1 to stage_moves do
-            let kind = generate ~dist:(Schedule.distance sched) in
+            let kind = generate ~dist in
             incr proposed;
             (match kind with
             | 0 -> incr flips
             | 1 -> incr resizes
             | _ -> incr pairs);
-            let obj = score.proposed in
-            let delta = obj -. score.committed in
-            if metropolis rng ~temp:(Schedule.temperature sched) ~delta then begin
+            let pair = kind = 2 in
+            if
+              Eval.propose_metropolis eval
+                ~sites:(if pair then sites2 else sites1)
+                ~cands:(if pair then cands2 else cands1)
+                ~temp ~rng
+            then begin
+              let obj = score.proposed in
               Eval.commit eval;
               incr accepted;
               incr stage_accepted;
@@ -319,7 +327,6 @@ let solve ?(zone = 0) ~config problem ~tags ~init ~rng =
                 Eval.blit_choices eval best
               end
             end
-            else Eval.discard eval
           done;
           let rate = float_of_int !stage_accepted /. float_of_int stage_moves in
           if Flight.enabled () then

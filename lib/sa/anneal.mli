@@ -11,6 +11,12 @@
       possible, in opposite group directions), the rail-balancing move a
       single flip cannot express without passing through a worse state.
 
+    Each move is proposed and decided in one {!Eval.propose_metropolis}
+    call, which usually proves a rejection from a few slots; T0
+    calibration and the reinstall of the best state use
+    {!Eval.propose}.  The decisions and draws are those of the textbook
+    Metropolis test on the full objective.
+
     The run is strictly sequential per call and consumes one explicit
     {!Repro_util.Rng} stream, so a solve is a pure function of
     [(problem, tags, init, config, seed)] — callers fan zones out with

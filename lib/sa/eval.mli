@@ -17,13 +17,21 @@
     most linearly in the number of commits, bounded by the periodic
     exact refresh ([refresh_every]).
 
-    {b No allocation.}  {!propose}, {!commit}, {!discard} and
-    {!blit_choices} allocate nothing on the OCaml heap (the periodic
-    refresh included): moves come in as caller-owned [int] arrays, the
-    pending proposal lives in arrays preallocated by {!create}, and the
-    two objectives live in the flat {!score} record, so reading them
-    does not box either.  [test/test_sa.ml] guards this with a
-    [Gc.minor_words] delta.
+    {b Early rejection.}  Most annealing moves are rejected, and one
+    slot far enough above the committed peak proves a rejection:
+    {!propose_metropolis} fuses the proposal scan with the Metropolis
+    test and stops at such a slot, starting from the committed peak
+    slot.  The decision, the draws and every committed sum stay those
+    of {!propose} plus the textbook test.
+
+    {b No allocation.}  {!propose}, {!propose_metropolis}, {!commit},
+    {!discard} and {!blit_choices} allocate nothing on the OCaml heap
+    (the periodic refresh included): moves come in as caller-owned
+    [int] arrays, the pending proposal lives in arrays preallocated by
+    {!create}, and the two objectives live in the flat {!score} record,
+    so reading them does not box either; the Metropolis draw comes from
+    {!Repro_util.Rng.bits53}, an unboxed [int].  [test/test_sa.ml]
+    guards this with a [Gc.minor_words] delta.
 
     {b Rounding.}  Per slot, the moves of a proposal apply in order as
     [(acc -. old) +. new], and the objective is the left fold of
@@ -93,6 +101,66 @@ val propose : t -> sites:int array -> cands:int array -> unit
     @raise Invalid_argument when [sites] and [cands] differ in length,
     on an out-of-range site/candidate, an unavailable candidate, or a
     site repeated within [sites]. *)
+
+val propose_metropolis :
+  t ->
+  sites:int array ->
+  cands:int array ->
+  temp:float ->
+  rng:Repro_util.Rng.t ->
+  bool
+(** [propose_metropolis t ~sites ~cands ~temp ~rng] is {!propose}
+    followed by the Metropolis test at temperature [temp], decided
+    without scanning every slot when one slot already proves the
+    rejection.  It returns exactly what
+    {[
+      propose t ~sites ~cands;
+      let delta = (score t).proposed -. (score t).committed in
+      delta <= 0.0 || Rng.float rng ~bound:1.0 < exp (-.delta /. temp)
+    ]}
+    returns, with exactly the same draws from [rng]: one draw iff
+    [not (delta <= 0.0)], none otherwise.  [true] leaves the proposal
+    pending with [(score t).proposed] set, for {!commit}; [false]
+    leaves nothing pending.  Moves are validated as by {!propose} (a
+    raise draws nothing and leaves nothing pending).
+
+    {b The scan.}  Slot values are computed with {!propose}'s per-slot
+    operation order, [(((acc -. o1) +. n1) -. o2) +. n2] for a pair
+    move, in one pass.  The committed peak slot (the first slot where
+    the committed sum reaches the committed objective [c], or slot 0
+    when no sum is above the [0.0] floor) is computed
+    and tested first, as the slot most likely to rise above [c]; then
+    every slot in index order.  The first slot value [v > c] draws [u];
+    from then on each slot value above every value tested so far is
+    tested, and [u >= exp (-.(v -. c) /. temp) *. (1.0 +. 1e-12)
+    +. min_float] rejects at once.  A scan that ends without a
+    rejection applies the test above verbatim, drawing only if it has
+    not drawn yet.
+
+    {b Why the early rejection is exact.}  Let [obj] be the objective
+    the full scan would compute and [delta = obj -. c].
+    - Each slot value [v] is computed bit for bit as {!propose} computes
+      it, and [obj] is a fold of [Float.max] over those values, so
+      [v <= obj] (or [obj] is NaN, and then both tests reject).
+    - So [v > c] proves [obj > c], i.e. [delta > 0.0] (or NaN): the
+      verbatim test would draw too, and draws the same [u], because
+      nothing else draws in between.
+    - Rounded subtraction is monotone, so [v -. c <= delta]; negation is
+      exact and rounded division by a positive [temp] is monotone, so
+      [x_v = -.(v -. c) /. temp >= -.delta /. temp = x].  The early test
+      is only made when [temp > 0.0].
+    - libm [exp] is within 1 ulp of the true value, so computed
+      [exp x <= exp x_v *. (1 + 2^-51)], far inside the [1e-12] margin,
+      for normal results; for subnormal or zero results a relative
+      bound does not hold, and [min_float] (the least normal) bounds
+      both.  Hence [u >= exp x_v *. (1 + 1e-12) +. min_float] implies
+      [u >= exp x], i.e. the verbatim test rejects.
+    Skipping a test is always safe, so which slots are tested, and which
+    slot goes first, only decides how soon a rejection is found, never
+    the outcome.  Infinite values follow the same argument; a NaN slot
+    never passes [v > c], so it is left to the verbatim test.
+
+    Allocates nothing, like {!propose}. *)
 
 val commit : t -> unit
 (** Accept the pending proposal: O(1) buffer swap plus the choice

@@ -44,10 +44,11 @@ let int t ~bound =
   let raw = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
   raw mod bound
 
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 11)
+
 let float t ~bound =
   (* 53 uniform bits mapped into [0, bound). *)
-  let bits = Int64.to_int (Int64.shift_right_logical (next_int64 t) 11) in
-  bound *. (float_of_int bits /. 9007199254740992.0)
+  bound *. (float_of_int (bits53 t) /. 9007199254740992.0)
 
 let uniform t ~lo ~hi = lo +. float t ~bound:(hi -. lo)
 

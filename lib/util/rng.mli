@@ -34,6 +34,13 @@ val int : t -> bound:int -> int
 val float : t -> bound:float -> float
 (** [float t ~bound] returns a uniform float in [\[0, bound)]. *)
 
+val bits53 : t -> int
+(** [bits53 t] is the draw behind {!float}: 53 uniform bits, so
+    [float t ~bound] is [bound *. (float_of_int (bits53 t) /. 2^53)] and
+    both advance the stream by one step.  An [int] result is not boxed,
+    so a hot loop in another module can draw and scale it without
+    allocating, which a [float] result returned across modules does. *)
+
 val uniform : t -> lo:float -> hi:float -> float
 (** [uniform t ~lo ~hi] returns a uniform float in [\[lo, hi)]. *)
 

@@ -492,11 +492,457 @@ let prop_fused_matches_unfused =
     fused_matches_unfused
 
 (* ------------------------------------------------------------------ *)
+(* The fused Metropolis decision against propose + the textbook test   *)
+
+(* The test [Eval.propose_metropolis] must reproduce, draws included. *)
+let metropolis rng ~temp ~delta =
+  delta <= 0.0 || Rng.float rng ~bound:1.0 < exp (-.delta /. temp)
+
+(* Random problems with ties: small integer slot values (many slots
+   share the peak), all-zero bases and rows, or plain random floats. *)
+let random_tied_problem rng =
+  let sites = 1 + Rng.int rng ~bound:7 in
+  let slots = 1 + Rng.int rng ~bound:10 in
+  let value =
+    match Rng.int rng ~bound:3 with
+    | 0 -> fun () -> float_of_int (Rng.int rng ~bound:4)
+    | 1 -> fun () -> if Rng.bool rng then 0.0 else Rng.float rng ~bound:100.0
+    | _ -> fun () -> Rng.float rng ~bound:100.0
+  in
+  let rows =
+    Array.init sites (fun _ ->
+        let cands = 1 + Rng.int rng ~bound:5 in
+        Array.init cands (fun _ -> Array.init slots (fun _ -> value ())))
+  in
+  let avail =
+    Array.map
+      (fun cands ->
+        let row = Array.map (fun _ -> Rng.bool rng) cands in
+        row.(Rng.int rng ~bound:(Array.length row)) <- true;
+        row)
+      rows
+  in
+  let base =
+    if Rng.bool rng then Array.make slots 0.0
+    else Array.init slots (fun _ -> value ())
+  in
+  { Eval.rows; base; avail }
+
+let temperatures = [| 1e-300; 1e-9; 1e-3; 0.5; 1.0; 7.0; 100.0; 1e6; 1e300 |]
+
+(* One random proposal (0 to 3 moves on distinct sites) decided both
+   ways on twin evaluators, with twin streams; any temperature,
+   including zero, negative, infinite and NaN ones the annealer never
+   uses. *)
+let decision_matches_textbook seed =
+  let rng = Rng.create ~seed in
+  let problem = random_tied_problem rng in
+  let init = Array.map (random_available rng) problem.Eval.avail in
+  let refresh_every = 1 + Rng.int rng ~bound:8 in
+  let e = Eval.create ~refresh_every problem ~init in
+  let r = Eval.create ~refresh_every problem ~init in
+  let seed' = Rng.int rng ~bound:1_000_000 in
+  let de = Rng.create ~seed:seed' and dr = Rng.create ~seed:seed' in
+  let sites = Array.length problem.Eval.rows in
+  let ok = ref true in
+  for _ = 1 to 200 do
+    let k = Stdlib.min sites (Rng.int rng ~bound:4) in
+    let order = Array.init sites Fun.id in
+    Rng.shuffle rng order;
+    let moves =
+      Array.init k (fun i ->
+          (order.(i), random_available rng problem.Eval.avail.(order.(i))))
+    in
+    let temp =
+      match Rng.int rng ~bound:12 with
+      | 0 -> 0.0
+      | 1 -> -1.0
+      | 2 -> Float.nan
+      | 3 -> Float.infinity
+      | _ -> temperatures.(Rng.int rng ~bound:(Array.length temperatures))
+    in
+    let move_sites = Array.map fst moves and move_cands = Array.map snd moves in
+    let fused =
+      Eval.propose_metropolis e ~sites:move_sites ~cands:move_cands ~temp ~rng:de
+    in
+    let reference =
+      let obj = propose r moves in
+      metropolis dr ~temp ~delta:(obj -. (Eval.score r).Eval.committed)
+    in
+    if fused <> reference then ok := false;
+    if fused then begin
+      if bits (Eval.score e).Eval.proposed <> bits (Eval.score r).Eval.proposed
+      then ok := false;
+      Eval.commit e;
+      Eval.commit r
+    end
+    else begin
+      (* Nothing may be left pending after a rejection. *)
+      (match Eval.commit e with
+      | () -> ok := false
+      | exception Invalid_argument _ -> ());
+      Eval.discard r
+    end;
+    if bits (Eval.objective e) <> bits (Eval.objective r) then ok := false
+  done;
+  !ok && Eval.choices e = Eval.choices r && Rng.bits53 de = Rng.bits53 dr
+
+let prop_decision_matches_textbook =
+  QCheck.Test.make
+    ~name:"propose_metropolis == propose + Metropolis test (draws included)"
+    ~count:100
+    QCheck.(int_range 1 100000)
+    decision_matches_textbook
+
+(* The annealer as it ran before the fused decision: [Eval.propose] for
+   every move, then the textbook test.  Move generation, schedule,
+   restarts and the final recompute are kept verbatim (budget checks
+   and flight events aside, which do not touch the search), so
+   [Anneal.solve] must return the same bits and leave the stream at the
+   same position. *)
+module Reference = struct
+  type site_moves = {
+    buckets : int array array;
+    group_of : int array;
+    pos_of : int array;
+    degree : int;
+  }
+
+  let site_moves (tags : Anneal.tag array) (avail : bool array) =
+    let n = Array.length tags in
+    let groups = ref [] in
+    for c = 0 to n - 1 do
+      if avail.(c) && not (List.mem tags.(c).Anneal.group !groups) then
+        groups := tags.(c).Anneal.group :: !groups
+    done;
+    let groups = Array.of_list (List.sort Int.compare !groups) in
+    let buckets =
+      Array.map
+        (fun g ->
+          let members = ref [] in
+          for c = n - 1 downto 0 do
+            if avail.(c) && tags.(c).Anneal.group = g then members := c :: !members
+          done;
+          let arr = Array.of_list !members in
+          Array.sort
+            (fun a b ->
+              match Float.compare tags.(a).Anneal.size tags.(b).Anneal.size with
+              | 0 -> Int.compare a b
+              | cmp -> cmp)
+            arr;
+          arr)
+        groups
+    in
+    let group_of = Array.make n (-1) and pos_of = Array.make n (-1) in
+    Array.iteri
+      (fun gi bucket ->
+        Array.iteri
+          (fun pos c ->
+            group_of.(c) <- gi;
+            pos_of.(c) <- pos)
+          bucket)
+      buckets;
+    let degree = Array.fold_left (fun acc b -> acc + Array.length b) 0 buckets in
+    { buckets; group_of; pos_of; degree }
+
+  let gen_flip rng m ~current =
+    let g = m.group_of.(current) in
+    let ng = Array.length m.buckets in
+    if ng <= 1 then current
+    else begin
+      let other = Rng.int rng ~bound:(ng - 1) in
+      let g' = if other >= g then other + 1 else other in
+      let bucket = m.buckets.(g') in
+      bucket.(Rng.int rng ~bound:(Array.length bucket))
+    end
+
+  let gen_resize rng m ~current ~dist =
+    let g = m.group_of.(current) in
+    let bucket = m.buckets.(g) in
+    let len = Array.length bucket in
+    if len <= 1 then current
+    else begin
+      let pos = m.pos_of.(current) in
+      let lo = Stdlib.max 0 (pos - dist) and hi = Stdlib.min (len - 1) (pos + dist) in
+      let pick = Rng.int rng ~bound:(hi - lo) in
+      let pos' = if lo + pick >= pos then lo + pick + 1 else lo + pick in
+      bucket.(pos')
+    end
+
+  let solve ~(config : Anneal.config) problem ~tags ~init ~rng =
+    let eval = Eval.create ~refresh_every:config.Anneal.refresh_every problem ~init in
+    let n = Eval.num_sites eval in
+    let init_objective = Eval.objective eval in
+    let zero = Anneal.zero_stats in
+    if n = 0 then
+      ([||], init_objective,
+       { zero with Anneal.init_objective; final_objective = init_objective })
+    else begin
+      let moves = Array.init n (fun s -> site_moves tags.(s) problem.Eval.avail.(s)) in
+      let movable =
+        Array.of_list
+          (List.filter (fun s -> moves.(s).degree > 1) (List.init n Fun.id))
+      in
+      let max_bucket =
+        Array.fold_left
+          (fun acc m ->
+            Array.fold_left (fun a b -> Stdlib.max a (Array.length b)) acc m.buckets)
+          1 moves
+      in
+      if Array.length movable = 0 then begin
+        let final = Eval.recompute eval in
+        (Eval.choices eval, final,
+         { zero with Anneal.init_objective; final_objective = final })
+      end
+      else begin
+        let pick_site () = movable.(Rng.int rng ~bound:(Array.length movable)) in
+        let propose1 s c = Eval.propose eval ~sites:[| s |] ~cands:[| c |] in
+        let score = Eval.score eval in
+        let generate ~dist =
+          let s = pick_site () in
+          let current = Eval.choice eval s in
+          match Rng.int rng ~bound:3 with
+          | 1 ->
+            let c = gen_resize rng moves.(s) ~current ~dist in
+            if c = current then begin
+              propose1 s (gen_flip rng moves.(s) ~current);
+              0
+            end
+            else begin
+              propose1 s c;
+              1
+            end
+          | 2 when Array.length movable > 1 ->
+            let s2 = ref (pick_site ()) in
+            while !s2 = s do
+              s2 := pick_site ()
+            done;
+            let s2 = !s2 in
+            let c1 = gen_flip rng moves.(s) ~current in
+            let c2 = gen_flip rng moves.(s2) ~current:(Eval.choice eval s2) in
+            let c1 =
+              if c1 = Eval.choice eval s then gen_resize rng moves.(s) ~current ~dist
+              else c1
+            in
+            let c2 =
+              if c2 = Eval.choice eval s2 then
+                gen_resize rng moves.(s2) ~current:(Eval.choice eval s2) ~dist
+              else c2
+            in
+            Eval.propose eval ~sites:[| s; s2 |] ~cands:[| c1; c2 |];
+            2
+          | _ ->
+            let c = gen_flip rng moves.(s) ~current in
+            if c = current then begin
+              propose1 s (gen_resize rng moves.(s) ~current ~dist);
+              1
+            end
+            else begin
+              propose1 s c;
+              0
+            end
+        in
+        let init_temp =
+          match config.Anneal.init_temp with
+          | Some t -> t
+          | None ->
+            let sum = ref 0.0 and count = ref 0 in
+            let cur = Eval.objective eval in
+            for _ = 1 to config.Anneal.warmup do
+              ignore (generate ~dist:max_bucket);
+              Eval.discard eval;
+              let d = score.Eval.proposed -. cur in
+              if d > 0.0 then begin
+                sum := !sum +. d;
+                incr count
+              end
+            done;
+            if !count = 0 then 1e-3
+            else
+              let mean = !sum /. float_of_int !count in
+              Float.max 1e-9 (-.mean /. log 0.8)
+        in
+        let sched =
+          Schedule.create ~target_accept:config.Anneal.target_accept ~init_temp
+            ~max_dist:max_bucket ()
+        in
+        let best = Eval.choices eval in
+        let best_obj = ref (Eval.objective eval) in
+        let proposed = ref 0 and accepted = ref 0 in
+        let flips = ref 0 and resizes = ref 0 and pairs = ref 0 in
+        let stages = ref 0 and restarts_done = ref 0 in
+        let stage_moves = Stdlib.max 1 (config.Anneal.moves_per_site * n) in
+        let run_stages () =
+          let frozen = ref false and stage = ref 0 in
+          while (not !frozen) && !stage < config.Anneal.max_stages do
+            incr stage;
+            incr stages;
+            let stage_accepted = ref 0 in
+            for _ = 1 to stage_moves do
+              let kind = generate ~dist:(Schedule.distance sched) in
+              incr proposed;
+              (match kind with
+              | 0 -> incr flips
+              | 1 -> incr resizes
+              | _ -> incr pairs);
+              let obj = score.Eval.proposed in
+              let delta = obj -. score.Eval.committed in
+              if metropolis rng ~temp:(Schedule.temperature sched) ~delta then begin
+                Eval.commit eval;
+                incr accepted;
+                incr stage_accepted;
+                if obj < !best_obj then begin
+                  best_obj := obj;
+                  Eval.blit_choices eval best
+                end
+              end
+              else Eval.discard eval
+            done;
+            let rate = float_of_int !stage_accepted /. float_of_int stage_moves in
+            Schedule.update sched ~accept_rate:rate;
+            if
+              Schedule.frozen sched ~min_ratio:config.Anneal.min_temp_ratio
+              || (!stage > 1 && !stage_accepted = 0)
+            then frozen := true
+          done
+        in
+        let install target =
+          Array.iteri
+            (fun s c ->
+              if Eval.choice eval s <> c then begin
+                propose1 s c;
+                Eval.commit eval
+              end)
+            target
+        in
+        run_stages ();
+        for restart = 1 to config.Anneal.restarts do
+          install best;
+          ignore (Eval.recompute eval);
+          Schedule.reheat sched
+            ~factor:(0.3 /. float_of_int restart /. float_of_int restart);
+          incr restarts_done;
+          run_stages ()
+        done;
+        install best;
+        let final_objective = Eval.recompute eval in
+        ( best,
+          final_objective,
+          {
+            Anneal.proposed = !proposed;
+            accepted = !accepted;
+            rejected = !proposed - !accepted;
+            flips = !flips;
+            resizes = !resizes;
+            pairs = !pairs;
+            stages = !stages;
+            restarts_done = !restarts_done;
+            init_objective;
+            final_objective;
+          } )
+      end
+    end
+end
+
+let stats_bits (s : Anneal.stats) =
+  ( (s.Anneal.proposed, s.Anneal.accepted, s.Anneal.rejected, s.Anneal.flips),
+    (s.Anneal.resizes, s.Anneal.pairs, s.Anneal.stages, s.Anneal.restarts_done),
+    (bits s.Anneal.init_objective, bits s.Anneal.final_objective) )
+
+let anneal_matches_reference seed =
+  let rng = Rng.create ~seed in
+  let problem = random_tied_problem rng in
+  let tags =
+    Array.map
+      (Array.map (fun _ ->
+           { Anneal.group = Rng.int rng ~bound:2;
+             size = float_of_int (Rng.int rng ~bound:3) }))
+      problem.Eval.rows
+  in
+  let init = Array.map (random_available rng) problem.Eval.avail in
+  let config =
+    {
+      Anneal.moves_per_site = 1 + Rng.int rng ~bound:4;
+      max_stages = 1 + Rng.int rng ~bound:10;
+      restarts = Rng.int rng ~bound:3;
+      warmup = Rng.int rng ~bound:24;
+      init_temp =
+        (if Rng.bool rng then None
+         else Some temperatures.(Rng.int rng ~bound:(Array.length temperatures)));
+      min_temp_ratio = 1e-4;
+      refresh_every = 1 + Rng.int rng ~bound:16;
+      target_accept = 0.44;
+    }
+  in
+  let seed' = Rng.int rng ~bound:1_000_000 in
+  let ra = Rng.create ~seed:seed' and rb = Rng.create ~seed:seed' in
+  let best_a, obj_a, stats_a = Anneal.solve ~config problem ~tags ~init ~rng:ra in
+  let best_b, obj_b, stats_b = Reference.solve ~config problem ~tags ~init ~rng:rb in
+  best_a = best_b
+  && bits obj_a = bits obj_b
+  && stats_bits stats_a = stats_bits stats_b
+  && Rng.bits53 ra = Rng.bits53 rb
+
+let prop_anneal_matches_reference =
+  QCheck.Test.make
+    ~name:"Anneal.solve == propose + Metropolis reference annealer (bits, stream)"
+    ~count:300
+    QCheck.(int_range 1 100000)
+    anneal_matches_reference
+
+(* ClkSA on two Table V circuits, pinned: the move counters and an MD5
+   of the leaf listing [wavemin run --export] writes.  Any change to
+   move generation, the decision or the draws moves these. *)
+let sa_listing name (r : Flow.run) tree =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b (Printf.sprintf "# %s ClkSA\n" name);
+  Array.iter
+    (fun (id, (cell : Cell.t)) ->
+      Buffer.add_string b
+        (Printf.sprintf "%d %s %s\n" id cell.Cell.name
+           (Repro_util.Json.float_to_string
+              (Assignment.extra_delay r.Flow.assignment ~mode:0 id))))
+    (Assignment.leaf_cells r.Flow.assignment tree);
+  Buffer.contents b
+
+let test_sa_pinned () =
+  List.iter
+    (fun (name, kappa, (zones, proposed, accepted, rejected), (flips, resizes, pairs, restarts), md5) ->
+      let params = { Context.default_params with Context.kappa } in
+      let spec = Repro_cts.Benchmarks.find name in
+      match Flow.prepare_benchmark ~params spec with
+      | Error _ -> Alcotest.failf "%s: synthesis failed" name
+      | Ok prep -> (
+        match Flow.run prep (Flow.Single Flow.Sa) with
+        | Error _ -> Alcotest.failf "%s: ClkSA failed" name
+        | Ok r ->
+          let label = Printf.sprintf "%s kappa %g" name kappa in
+          let expected =
+            { Clk_sa.zones; proposed; accepted; rejected; flips; resizes; pairs;
+              restarts }
+          in
+          Alcotest.(check bool) (label ^ " stats") true (r.Flow.sa = Some expected);
+          Alcotest.(check string) (label ^ " assignment md5") md5
+            (Digest.to_hex
+               (Digest.string (sa_listing name r (Flow.prepared_tree prep))))))
+    [
+      ("s13207", 15.0, (60, 44392, 9912, 34480), (16822, 13526, 14044, 180),
+       "ae33419e3e0916f75a320d4add22bfb4");
+      ("s13207", 20.0, (60, 44392, 9912, 34480), (16822, 13526, 14044, 180),
+       "ae33419e3e0916f75a320d4add22bfb4");
+      ("s15850", 15.0, (24, 12448, 2153, 10295), (5262, 3558, 3628, 72),
+       "83e3dc7f6ff9ce2727c25c541b3d8278");
+      ("s15850", 20.0, (24, 12784, 2233, 10551), (5307, 3727, 3750, 72),
+       "83e3dc7f6ff9ce2727c25c541b3d8278");
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Allocation guard                                                    *)
 
 (* 10,000 proposals (single and paired moves), each committed or
-   discarded, on a fixed 40-site x 158-slot problem: the loop may
-   allocate a small constant, never a per-move or per-slot amount. *)
+   discarded, on a fixed 40-site x 158-slot problem, then 10,000 more
+   through the fused Metropolis decision: each loop may allocate a
+   small constant, never a per-move or per-slot amount. *)
 let test_eval_allocates_nothing () =
   let rng = Rng.create ~seed:2024 in
   let sites = 40 and cands = 6 and slots = 158 in
@@ -546,7 +992,51 @@ let test_eval_allocates_nothing () =
   let words = Gc.minor_words () -. before in
   if words > 64.0 then
     Alcotest.failf "10000 propose+commit/discard moves allocated %.0f minor words"
-      words
+      words;
+  (* The same moves through the fused decision, at a temperature that
+     accepts some uphill moves and one that accepts almost none: single
+     and paired moves, each accepted (then committed) or rejected. *)
+  let draws = Rng.create ~seed:7 in
+  (* [kind] counts: single/pair x rejected/accepted. *)
+  let counts = Array.make 4 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    let hot = accept.(i) in
+    let pair = pair.(i) in
+    let kept =
+      if pair then begin
+        sites2.(0) <- s1.(i);
+        cands2.(0) <- c1.(i);
+        sites2.(1) <- s2.(i);
+        cands2.(1) <- c2.(i);
+        if hot then
+          Eval.propose_metropolis e ~sites:sites2 ~cands:cands2 ~temp:20.0 ~rng:draws
+        else
+          Eval.propose_metropolis e ~sites:sites2 ~cands:cands2 ~temp:1e-3 ~rng:draws
+      end
+      else begin
+        sites1.(0) <- s1.(i);
+        cands1.(0) <- c1.(i);
+        if hot then
+          Eval.propose_metropolis e ~sites:sites1 ~cands:cands1 ~temp:20.0 ~rng:draws
+        else
+          Eval.propose_metropolis e ~sites:sites1 ~cands:cands1 ~temp:1e-3 ~rng:draws
+      end
+    in
+    let kind = (if pair then 2 else 0) + if kept then 1 else 0 in
+    counts.(kind) <- counts.(kind) + 1;
+    if kept then begin
+      Eval.commit e;
+      Eval.blit_choices e best
+    end
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 64.0 then
+    Alcotest.failf "10000 propose_metropolis moves allocated %.0f minor words" words;
+  Array.iteri
+    (fun kind c ->
+      if c = 0 then Alcotest.failf "no proposal of kind %d (single/pair x rejected/accepted)" kind)
+    counts
 
 let () =
   Alcotest.run "repro_sa"
@@ -576,6 +1066,7 @@ let () =
           Alcotest.test_case "beats initial (golden)" `Quick
             test_sa_beats_initial_golden;
           Alcotest.test_case "infeasible kappa" `Quick test_sa_infeasible;
+          Alcotest.test_case "pinned on s13207 and s15850" `Quick test_sa_pinned;
         ] );
       ( "warm",
         [
@@ -595,5 +1086,10 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_delta_eval_matches_full; prop_fused_matches_unfused ] );
+          [
+            prop_delta_eval_matches_full;
+            prop_fused_matches_unfused;
+            prop_decision_matches_textbook;
+            prop_anneal_matches_reference;
+          ] );
     ]

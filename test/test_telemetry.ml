@@ -512,6 +512,51 @@ let test_explain_synthetic_dump () =
             "budget trips"; "caches"; "session"; "contention";
             "session.lock" ])
 
+(* ClkPeakMin reports its polarity-balance objective where the other
+   solvers report the zone peak: the zone table and the cut-off lines
+   name each value after the algorithm of the solve-start enclosing
+   the event that carried it. *)
+let test_explain_names_peakmin_balance () =
+  let solve algorithm =
+    Flight.record (Flight.Solve_start { benchmark = "s99"; algorithm });
+    List.iter
+      (fun cls ->
+        Flight.record (Flight.Zone_start { cls; zone = 2; sinks = 6 });
+        Flight.record
+          (Flight.Zone_end
+             { cls; zone = 2; peak_ua = 2847.4; capped = false;
+               memo = cls > 0; wall_ms = 0.1 }))
+      [ 0; 1 ];
+    Flight.record
+      (Flight.Class_skip { cls = 3; zone = 2; peak_ua = 2847.4; best_ua = 2753.8 });
+    Flight.record
+      (Flight.Solve_end { benchmark = "s99"; algorithm; ok = true; wall_ms = 1.0 })
+  in
+  let report solves =
+    Flight.clear ();
+    List.iter solve solves;
+    match Explain.render (Flight.to_json ()) with
+    | Error msg -> Alcotest.failf "render failed: %s" msg
+    | Ok report -> report
+  in
+  let mentions report needle =
+    Alcotest.(check bool) ("report mentions " ^ needle) true
+      (contains_sub report needle)
+  in
+  with_flight (fun () ->
+      let wavemin = report [ "ClkWaveMin" ] in
+      mentions wavemin "6 sinks, peak 2847.4 uA";
+      mentions wavemin "memoized peak 2847.4 uA >= best class peak 2753.8 uA";
+      (* A fallback chain ending in ClkPeakMin: the zone table shows the
+         last value recorded per (class, zone), PeakMin's balance. *)
+      let chain = report [ "ClkWaveMin"; "ClkPeakMin" ] in
+      mentions chain "6 sinks, balance 2847.4 uA";
+      mentions chain "memoized peak 2847.4 uA >= best class peak 2753.8 uA";
+      mentions chain
+        "memoized balance 2847.4 uA >= best class balance 2753.8 uA";
+      Alcotest.(check bool) "no zone balance called a peak" false
+        (contains_sub chain "6 sinks, peak"))
+
 let test_explain_rejects_non_dumps () =
   let expect_error name dump =
     match Explain.render dump with
@@ -571,6 +616,8 @@ let () =
       ( "explain",
         [ Alcotest.test_case "synthetic dump renders" `Quick
             test_explain_synthetic_dump;
+          Alcotest.test_case "ClkPeakMin balance named" `Quick
+            test_explain_names_peakmin_balance;
           Alcotest.test_case "rejects non-dumps" `Quick
             test_explain_rejects_non_dumps ] );
       ( "prometheus",
